@@ -6,7 +6,6 @@ verifies the associated local data exactly: transversal slice equations,
 tangent space dimensions, and Kazhdan-Lusztig polynomials.
 """
 
-from .backend import BACKEND
 from .components import (
     TYPE_3412_EMPTY,
     TYPE_3412_STAR,
@@ -51,6 +50,10 @@ from .sweep import verify_all, verify_permutation
 from .tangent import TangentReport, singular_components, singular_points, tangent_dimension
 
 __version__ = "0.1.0"
+
+# The one interval-mask kernel is pure Python; benchmark results are stamped
+# with this name.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

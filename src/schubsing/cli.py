@@ -20,6 +20,7 @@ from .perms import format_permutation, length, parse_permutation
 from .slices import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    SliceVerdict,
     build_slice,
     equation_strings,
     slice_report,
@@ -136,18 +137,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     report["w"] = format_permutation(w)
     _print(report)
     verdict = report["verdict"]
-    if verdict is not None and not all(
-        verdict[key]
-        for key in (
-            "tangent_ok",
-            "dim_ok",
-            "containment_ok",
-            "exclusion_ok",
-            "equivalence_ok",
-        )
-    ):
-        return 1
-    return 0
+    return 0 if verdict is None or SliceVerdict(**verdict).ok else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -175,10 +165,18 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_trials_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--trials",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_TRIALS,
         help=f"number of sample points per slice check (default {DEFAULT_TRIALS})",
     )
@@ -236,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_trials_seed(p)
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
     )
     p.add_argument(
         "--pretty", action="store_true", help="indent the JSON report"

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .perms import Permutation, Region, length, rank_excess_region
+from .perms import Permutation, length
 from .tangent import singular_components, tangent_dimension
 
 __all__ = [
@@ -71,7 +71,6 @@ class Component:
     m: int | None
     codim: int
     excess: int
-    region: Region
 
 
 def classify_component(v: Permutation, w: Permutation) -> Component:
@@ -122,15 +121,7 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
         l = d - 3  # aggregate l + m
         ctype, mm = TYPE_3412_EMPTY, None
 
-    return Component(
-        v=v,
-        ctype=ctype,
-        l=l,
-        m=mm,
-        codim=d,
-        excess=e,
-        region=rank_excess_region(v, w),
-    )
+    return Component(v=v, ctype=ctype, l=l, m=mm, codim=d, excess=e)
 
 
 def enumerate_components(w: Permutation) -> list[Component]:

@@ -16,12 +16,11 @@ on the combinatorics in this module.  Conventions, fixed once and for all:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Permutation",
     "RankTable",
-    "Region",
     "all_transpositions",
     "bruhat_leq",
     "compose",
@@ -219,26 +218,7 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Region:
-    """A set of cells (p, q) in the grid [1, n] x [1, n]."""
-
-    cells: frozenset[tuple[int, int]]
-
-    def __contains__(self, cell: tuple[int, int]) -> bool:
-        return cell in self.cells
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.cells))
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __bool__(self) -> bool:
-        return bool(self.cells)
-
-
-def rank_excess_region(v: Permutation, w: Permutation) -> Region:
+def rank_excess_region(v: Permutation, w: Permutation) -> frozenset[tuple[int, int]]:
     """Cells where the rank table of v strictly exceeds the one of w.
 
     For v <= w this is the region that carries all the local geometry of the
@@ -249,13 +229,12 @@ def rank_excess_region(v: Permutation, w: Permutation) -> Region:
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
     rv = rank_table(v).rows
     rw = rank_table(w).rows
-    cells = frozenset(
+    return frozenset(
         (p, q)
         for p in range(1, v.n)
         for q in range(1, v.n)
         if rv[p][q] > rw[p][q]
     )
-    return Region(cells)
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -154,7 +154,7 @@ def free_coordinates(v: Permutation, w: Permutation) -> list[Cell]:
     [j, v_inv(k)) x [v(j), k) is in the excess region of (v, w); in
     particular the list is empty when v = w.
     """
-    region = rank_excess_region(v, w).cells
+    region = rank_excess_region(v, w)
     vinv = inverse(v)
     out = []
     for j, k in mv_support(v):

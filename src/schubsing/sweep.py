@@ -199,7 +199,6 @@ def verify_all(
                     print(
                         f"  {done}/{total} permutations", file=sys.stderr, flush=True
                     )
-        records.sort(key=lambda r: group.index_of(tuple(int(x) for x in r["w"].split(","))))
 
     by_type: dict[str, int] = {}
     witnesses: list[dict] = []

@@ -7,12 +7,14 @@ once per process:
 * all n! permutations in lexicographic order of one-line notation,
 * their flattened rank tables (one byte per entry),
 * their Coxeter lengths,
-* the index of v.t for every permutation v and transposition t.
+* the index of v.t for every permutation v and transposition t,
+* one bitset per interior cell (p, q) and threshold k: bit v is set iff
+  r_v(p, q) >= k.
 
-Lower-interval masks are computed by the kernel backend (compiled or pure
-Python, see :mod:`schubsing.backend`) and cached with a bounded LRU.  All
-functions are deterministic; the caches are guarded by locks so threaded
-callers only risk duplicate work, never wrong answers.
+A lower-interval mask is the AND of the bitsets that w's own rank table
+selects, one per cell, and is cached with a bounded LRU.  All functions are
+deterministic; the caches are guarded by locks so threaded callers only risk
+duplicate work, never wrong answers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from array import array
 from collections import OrderedDict
 from itertools import permutations as _lex_permutations
 
-from .backend import kernels
 from .perms import Permutation
 
 __all__ = ["MAX_N", "SymmetricGroup", "symmetric_group"]
@@ -33,13 +34,16 @@ MAX_N = 9
 
 _MASK_CACHE_BYTES = 1 << 27
 
-
-def _zero_ints(count: int) -> array:
-    return array("i", bytes(array("i").itemsize * count))
+# Byte maps for the bitsets: _AT_LEAST[k] sends a rank byte b to "1" if
+# b >= k, else "0"; _BIT_BYTES sends the digits of a binary string to 0/1.
+_AT_LEAST = tuple(
+    bytes(0x31 if b >= k else 0x30 for b in range(256)) for k in range(MAX_N + 1)
+)
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SymmetricGroup:
-    """All of S_n plus the precomputed arrays the sweep kernels consume."""
+    """All of S_n plus the precomputed arrays the interval sweeps consume."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
@@ -67,6 +71,7 @@ class SymmetricGroup:
         )
         self.ntrans = len(self.transpositions)
         self.tprod = self._build_tprod()
+        self._columns = self._build_columns()
         self._mask_cache: OrderedDict[int, bytes] = OrderedDict()
         self._mask_cache_size = max(64, _MASK_CACHE_BYTES // max(1, len(self.perms)))
         self._lock = threading.Lock()
@@ -88,7 +93,7 @@ class SymmetricGroup:
 
     def _build_tprod(self) -> array:
         index = self._index
-        out = _zero_ints(len(self.perms) * self.ntrans)
+        out = array("i", [0]) * (len(self.perms) * self.ntrans)
         pos = 0
         for p in self.perms:
             lp = list(p)
@@ -98,6 +103,27 @@ class SymmetricGroup:
                 lp[i], lp[j] = lp[j], lp[i]
                 pos += 1
         return out
+
+    def _build_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per interior cell c = (p, q): (c, bits), bits[k] = {v : r_v(p, q) >= k}.
+
+        Bit v is counted from the top: v = 0 is the most significant of the
+        n! bits.  Every rank at (p, q) is at least max(0, p + q - n), so the
+        thresholds up to that floor select all of S_n and get -1, the int
+        with every bit set.
+        """
+        n, tlen = self.n, self.tlen
+        columns = []
+        for p in range(1, n):
+            for q in range(1, n):
+                c = p * (n + 1) + q
+                col = self.tables[c::tlen]
+                floor = max(0, p + q - n)
+                bits = [-1] * (floor + 1)
+                for k in range(floor + 1, min(p, q) + 1):
+                    bits.append(int(col.translate(_AT_LEAST[k]), 2))
+                columns.append((c, tuple(bits)))
+        return tuple(columns)
 
     def index_of(self, values: tuple[int, ...]) -> int:
         try:
@@ -122,9 +148,12 @@ class SymmetricGroup:
             if cached is not None:
                 self._mask_cache.move_to_end(wi)
                 return cached
-        out = bytearray(len(self.perms))
-        kernels.dominated_mask(self.tables, self.tlen, len(self.perms), wi, out)
-        mask = bytes(out)
+        count = len(self.perms)
+        tw = self.tables[wi * self.tlen : (wi + 1) * self.tlen]
+        acc = (1 << count) - 1
+        for c, bits in self._columns:
+            acc &= bits[tw[c]]
+        mask = format(acc, f"0{count}b").encode().translate(_BIT_BYTES)
         with self._lock:
             self._mask_cache[wi] = mask
             while len(self._mask_cache) > self._mask_cache_size:
@@ -139,12 +168,14 @@ class SymmetricGroup:
     def tangent_counts(self, wi: int, cands: array) -> array:
         """For each candidate v: #{transpositions t : v.t <= w}."""
         mask = self.lower_mask(wi)
-        out = _zero_ints(len(cands))
-        kernels.count_in_mask(mask, self.tprod, self.ntrans, cands, out)
-        return out
-
-    def tangent_count(self, vi: int, wi: int) -> int:
-        return self.tangent_counts(wi, array("i", [vi]))[0]
+        tprod, ntrans = self.tprod, self.ntrans
+        return array(
+            "i",
+            (
+                sum(mask[i] for i in tprod[v * ntrans : (v + 1) * ntrans])
+                for v in cands
+            ),
+        )
 
 
 _groups: dict[int, SymmetricGroup] = {}

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+import schubsing.slices
+import schubsing.sweep
 from schubsing.cli import main
+from schubsing.slices import SliceVerdict
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +97,16 @@ def test_slice_command(capsys):
     )
 
 
+def test_slice_failing_verdict_exit_1(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        return SliceVerdict(True, True, False, True, True, samples=1)
+
+    monkeypatch.setattr(schubsing.slices, "verify_slice", failing)
+    code, out, _ = run_cli(capsys, "slice", "1324", "3412", "--trials", "1")
+    assert code == 1
+    assert json.loads(out)["verdict"]["containment_ok"] is False
+
+
 def test_slice_incomparable_exit_2(capsys):
     code, _, err = run_cli(capsys, "slice", "2143", "1324")
     assert code == 2
@@ -138,6 +151,29 @@ def test_verify_all_small(capsys):
 def test_verify_all_n_guard(capsys):
     assert run_cli(capsys, "verify-all", "--n", "1")[0] == 2
     assert run_cli(capsys, "verify-all", "--n", "9")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slice", "1324", "3412", "--trials", "0"),
+        ("report", "3412", "--trials", "-3"),
+        ("verify-all", "--n", "4", "--trials", "0"),
+        ("verify-all", "--n", "4", "--jobs", "0"),
+        ("verify-all", "--n", "4", "--jobs", "-7"),
+    ],
+)
+def test_nonpositive_trials_and_jobs_exit_2(capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(schubsing.sweep, "Pool", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
 
 
 def test_verify_all_deterministic(capsys):

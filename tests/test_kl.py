@@ -9,7 +9,6 @@ from schubsing.kl import kl_closed_form, kl_recursion
 from schubsing.patterns import is_smooth
 from schubsing.perms import (
     Permutation,
-    Region,
     bruhat_leq,
     identity,
     inverse,
@@ -101,7 +100,6 @@ def test_closed_forms_per_type():
         m=3,
         codim=6,
         excess=6,
-        region=Region(frozenset()),
     )
     assert kl_closed_form(rect) == (1, 1, 1)
     star = Component(
@@ -111,7 +109,6 @@ def test_closed_forms_per_type():
         m=None,
         codim=7,
         excess=1,
-        region=Region(frozenset()),
     )
     assert kl_closed_form(star) == (1, 0, 0, 1)
     empty = Component(
@@ -121,7 +118,6 @@ def test_closed_forms_per_type():
         m=None,
         codim=7,
         excess=5,
-        region=Region(frozenset()),
     )
     assert kl_closed_form(empty) == (1, 1)
 

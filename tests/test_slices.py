@@ -122,9 +122,7 @@ def test_rectangle_minor_count():
 def test_structure_error_on_mislabeled_component():
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
-    wrong = type(c)(
-        v=c.v, ctype="4231", l=1, m=1, codim=c.codim, excess=c.excess, region=c.region
-    )
+    wrong = type(c)(v=c.v, ctype="4231", l=1, m=1, codim=c.codim, excess=c.excess)
     with pytest.raises(SliceStructureError):
         build_slice(wrong, w)
 
