@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .components import classify_component, enumerate_components
@@ -90,21 +91,13 @@ def cmd_singular_locus(args: argparse.Namespace) -> int:
     entries = []
     for c in enumerate_components(w):
         model = build_slice(c, w)
-        entries.append(
-            {
-                "v": format_permutation(c.v),
-                "type": c.ctype,
-                "l": c.l,
-                "m": c.m,
-                "codim": c.codim,
-                "excess": c.excess,
-                "kl": list(kl_recursion(c.v, w)),
-                "slice": {
-                    "free": [list(cell) for cell in model.free],
-                    "equations": equation_strings(model)["closed"],
-                },
-            }
-        )
+        entry = c.json_fields()
+        entry["kl"] = list(kl_recursion(c.v, w))
+        entry["slice"] = {
+            "free": [list(cell) for cell in model.free],
+            "equations": equation_strings(model)["closed"],
+        }
+        entries.append(entry)
     _print(entries)
     return 0
 
@@ -173,6 +166,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _job_count(text: str) -> int:
+    """argparse type for --jobs: 1 up to the CPU count (exit 2 otherwise)."""
+    value = _positive_int(text)
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 and at most the CPU count {cpus}, got {value}"
+        )
+    return value
+
+
 def _add_trials_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--trials",
@@ -234,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_trials_seed(p)
     p.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_job_count, default=1, help="worker processes (default 1)"
     )
     p.add_argument(
         "--pretty", action="store_true", help="indent the JSON report"

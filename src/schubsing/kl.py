@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 
-from .components import TYPE_3412_EMPTY, TYPE_3412_STAR, TYPE_4231, Component
+from .components import Component
 from .perms import Permutation, bruhat_leq
 from .symgroup import SymmetricGroup, symmetric_group
 
@@ -41,14 +41,7 @@ _lock = threading.RLock()
 
 def kl_closed_form(c: Component) -> KLPoly:
     """The Kazhdan-Lusztig polynomial P(v, w) predicted by the component type."""
-    if c.ctype == TYPE_4231:
-        assert c.m is not None
-        return (1,) * (min(c.l, c.m) + 1)
-    if c.ctype == TYPE_3412_STAR:
-        return (1,) + (0,) * c.l + (1,)
-    if c.ctype == TYPE_3412_EMPTY:
-        return (1, 1)
-    raise ValueError(f"unknown component type {c.ctype!r}")
+    return c.kl_closed_form()
 
 
 def kl_recursion(v: Permutation, w: Permutation) -> KLPoly:
@@ -143,7 +136,7 @@ def _kl_table(group: SymmetricGroup, wi: int) -> dict[int, KLPoly]:
     lw = lengths[wi]
     # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
     mus = [
-        (zi, mu)
+        (zi, mu, group.lower_mask(zi))
         for zi, mu in sorted(_mu_support(group, swi).items())
         if lengths[group.index_of(_swap_values(group.perms[zi], a))] < lengths[zi]
     ]
@@ -155,8 +148,8 @@ def _kl_table(group: SymmetricGroup, wi: int) -> dict[int, KLPoly]:
         acc: list[int] = []
         _add_shifted(acc, sub.get(svi, ()), 1 - c)
         _add_shifted(acc, sub.get(vi, ()), c)
-        for zi, mu in mus:
-            if not group.leq_idx(vi, zi):
+        for zi, mu, below_z in mus:
+            if not below_z[vi]:
                 continue
             pvz = _kl_table(group, zi)[vi] if zi != vi else (1,)
             _add_shifted(acc, pvz, (lw - lengths[zi]) // 2, -mu)

@@ -56,18 +56,13 @@ def verify_permutation(
 ) -> dict:
     """Every cross-check for a single w, as a JSON-ready record."""
     smooth_pattern = is_smooth(w)
-    smooth_tangent = is_smooth_tangent(w)
+    classified = enumerate_components(w)
+    # A finite singular set is empty iff it has no maximal elements.
+    smooth_tangent = not classified
     components = []
     ok = smooth_pattern == smooth_tangent
-    for c in enumerate_components(w):
-        entry: dict = {
-            "v": format_permutation(c.v),
-            "type": c.ctype,
-            "l": c.l,
-            "m": c.m,
-            "codim": c.codim,
-            "excess": c.excess,
-        }
+    for c in classified:
+        entry = c.json_fields()
         entry["formulas_ok"] = verify_formulas(c, w)
         closed = kl_closed_form(c)
         recursion = kl_recursion(c.v, w)
@@ -86,8 +81,6 @@ def verify_permutation(
             entry["slice_error"] = str(exc)
         ok = ok and entry["formulas_ok"] and entry["kl_ok"] and entry["slice_ok"]
         components.append(entry)
-    if smooth_tangent and components:  # pragma: no cover - contradictory by construction
-        ok = False
     return {
         "w": format_permutation(w),
         "length": length(w),

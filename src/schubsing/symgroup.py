@@ -23,6 +23,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from itertools import permutations as _lex_permutations
+from typing import Sequence
 
 from .perms import Permutation
 
@@ -134,13 +135,6 @@ class SymmetricGroup:
     def perm(self, idx: int) -> Permutation:
         return Permutation(self.perms[idx])
 
-    def leq_idx(self, vi: int, wi: int) -> bool:
-        """Bruhat comparison straight off the stored tables."""
-        tlen = self.tlen
-        tv = self.tables[vi * tlen : (vi + 1) * tlen]
-        tw = self.tables[wi * tlen : (wi + 1) * tlen]
-        return all(a >= b for a, b in zip(tv, tw))
-
     def lower_mask(self, wi: int) -> bytes:
         """Byte mask over all of S_n: mask[v] = 1 iff v <= w in Bruhat order."""
         with self._lock:
@@ -165,7 +159,7 @@ class SymmetricGroup:
         mask = self.lower_mask(wi)
         return array("i", (i for i, b in enumerate(mask) if b))
 
-    def tangent_counts(self, wi: int, cands: array) -> array:
+    def tangent_counts(self, wi: int, cands: Sequence[int]) -> array:
         """For each candidate v: #{transpositions t : v.t <= w}."""
         mask = self.lower_mask(wi)
         tprod, ntrans = self.tprod, self.ntrans

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import Permutation, all_transpositions, bruhat_leq, compose, length
-from .symgroup import symmetric_group
+from .symgroup import SymmetricGroup, symmetric_group
 
 __all__ = [
     "TangentReport",
@@ -53,16 +53,20 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
     return TangentReport(v, w, count, count - length(w))
 
 
-def singular_points(w: Permutation) -> set[Permutation]:
-    """Fixed points v <= w where the tangent dimension exceeds length(w)."""
+def _singular_indices(w: Permutation) -> tuple[SymmetricGroup, list[int]]:
+    """The group of w and the indices of its singular points v <= w."""
     group = symmetric_group(w.n)
     wi = group.index_of(w.values)
     cands = group.interval(wi)
     counts = group.tangent_counts(wi, cands)
     lw = length(w)
-    return {
-        group.perm(vi) for vi, count in zip(cands, counts) if count > lw
-    }
+    return group, [vi for vi, count in zip(cands, counts) if count > lw]
+
+
+def singular_points(w: Permutation) -> set[Permutation]:
+    """Fixed points v <= w where the tangent dimension exceeds length(w)."""
+    group, singular = _singular_indices(w)
+    return {group.perm(vi) for vi in singular}
 
 
 def singular_components(w: Permutation) -> set[Permutation]:
@@ -70,12 +74,7 @@ def singular_components(w: Permutation) -> set[Permutation]:
 
     The result is an antichain; it is empty exactly when X_w is smooth.
     """
-    group = symmetric_group(w.n)
-    wi = group.index_of(w.values)
-    cands = group.interval(wi)
-    counts = group.tangent_counts(wi, cands)
-    lw = length(w)
-    singular = [vi for vi, count in zip(cands, counts) if count > lw]
+    group, singular = _singular_indices(w)
     # Scan by decreasing length; a point is maximal iff it is not below any
     # already-kept maximal point.
     singular.sort(key=lambda vi: (-group.lengths[vi], group.perms[vi]))

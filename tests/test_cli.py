@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -161,6 +162,7 @@ def test_verify_all_n_guard(capsys):
         ("verify-all", "--n", "4", "--trials", "0"),
         ("verify-all", "--n", "4", "--jobs", "0"),
         ("verify-all", "--n", "4", "--jobs", "-7"),
+        ("verify-all", "--n", "4", "--jobs", str((os.cpu_count() or 1) + 1)),
     ],
 )
 def test_nonpositive_trials_and_jobs_exit_2(capsys, monkeypatch, argv):

@@ -1,5 +1,7 @@
 """Tests for singular-locus component classification."""
 
+from array import array
+
 import pytest
 
 from schubsing.components import (
@@ -13,6 +15,7 @@ from schubsing.components import (
 )
 from schubsing.perms import identity, length, make_permutation
 from schubsing.sweep import component_pairs
+from schubsing.symgroup import SymmetricGroup
 from schubsing.tangent import tangent_dimension
 
 
@@ -69,6 +72,28 @@ def _grouped_pairs(n):
 def test_formulas_hold_exhaustively(n):
     for w, c in component_pairs(n):
         assert verify_formulas(c, w), (w.values, c.v.values, c.ctype)
+
+
+def test_formulas_catch_a_wrong_kernel_count(monkeypatch):
+    """Classification reads the kernel's count, verify_formulas the oracle's.
+
+    With the kernel count shifted by 2, no S_5 component pair may both
+    classify and pass its double equalities.
+    """
+    pairs = [(w, c.v) for w, c in component_pairs(5)]
+    assert len(pairs) == 41
+    kernel_count = SymmetricGroup.tangent_counts
+
+    def shifted(self, wi, cands):
+        return array("i", (count + 2 for count in kernel_count(self, wi, cands)))
+
+    monkeypatch.setattr(SymmetricGroup, "tangent_counts", shifted)
+    for w, v in pairs:
+        try:
+            c = classify_component(v, w)
+        except ClassificationError:
+            continue
+        assert not verify_formulas(c, w), (w.values, v.values, c.ctype)
 
 
 @pytest.mark.parametrize("n", [4, 5])

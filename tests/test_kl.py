@@ -4,7 +4,11 @@ import itertools
 
 import pytest
 
-from schubsing.components import Component, classify_component
+from schubsing.components import (
+    QuadricComponent,
+    RectangleComponent,
+    TwoBlockComponent,
+)
 from schubsing.kl import kl_closed_form, kl_recursion
 from schubsing.patterns import is_smooth
 from schubsing.perms import (
@@ -93,27 +97,24 @@ def test_singularity_detected_by_nontrivial_polynomial(n):
 
 
 def test_closed_forms_per_type():
-    rect = Component(
+    rect = RectangleComponent(
         v=make_permutation([2, 1, 4, 3]),
-        ctype="4231",
         l=2,
         m=3,
         codim=6,
         excess=6,
     )
     assert kl_closed_form(rect) == (1, 1, 1)
-    star = Component(
+    star = QuadricComponent(
         v=make_permutation([1, 3, 2, 4]),
-        ctype="3412*",
         l=2,
         m=None,
         codim=7,
         excess=1,
     )
     assert kl_closed_form(star) == (1, 0, 0, 1)
-    empty = Component(
+    empty = TwoBlockComponent(
         v=make_permutation([1, 3, 2, 4]),
-        ctype="3412empty",
         l=4,
         m=None,
         codim=7,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from schubsing.components import classify_component
+from schubsing.components import RectangleComponent, classify_component
 from schubsing.linalg import poly_eval
 from schubsing.perms import (
     Permutation,
@@ -91,7 +91,7 @@ def test_3412_slice_is_one_quadric():
     model = build_slice(c, w)
     strings = equation_strings(model)
     assert strings["closed"] == ["m_1_2*m_3_4 + m_1_3*m_2_4"]
-    assert model.frame["pairs"] == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
+    assert model.frame.pairs == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
 
 
 def test_case3_slice_equations():
@@ -122,7 +122,7 @@ def test_rectangle_minor_count():
 def test_structure_error_on_mislabeled_component():
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
-    wrong = type(c)(v=c.v, ctype="4231", l=1, m=1, codim=c.codim, excess=c.excess)
+    wrong = RectangleComponent(v=c.v, l=1, m=1, codim=c.codim, excess=c.excess)
     with pytest.raises(SliceStructureError):
         build_slice(wrong, w)
 
