@@ -4,7 +4,8 @@ Permutations are written in one-line notation, either comma-separated
 (``4,2,3,1``) or as a digit string when every value is below ten (``4231``).
 All output is JSON with sorted keys, so repeated runs with the same
 arguments produce byte-identical bytes.  Exit codes: 0 on success, 1 when a
-verification reports failures, 2 on usage errors.
+verification reports failures or a ``verify-all`` worker process dies, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .slices import (
     equation_strings,
     slice_report,
 )
-from .sweep import verify_all, verify_permutation
+from .sweep import WorkerCrashError, verify_all, verify_permutation
 from .tangent import singular_components, tangent_dimension
 
 __all__ = ["main"]
@@ -92,7 +93,7 @@ def cmd_singular_locus(args: argparse.Namespace) -> int:
     for c in enumerate_components(w):
         model = build_slice(c, w)
         entry = c.json_fields()
-        entry["kl"] = list(kl_recursion(c.v, w))
+        entry["kl"] = list(c.kl_closed_form())
         entry["slice"] = {
             "free": [list(cell) for cell in model.free],
             "equations": equation_strings(model)["closed"],
@@ -147,13 +148,13 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         )
         return 2
     progress = args.progress or args.n >= 7
-    report = verify_all(
-        args.n,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        progress=progress,
-    )
+    try:
+        report = verify_all(
+            args.n, trials=args.trials, seed=args.seed, jobs=args.jobs, progress=progress
+        )
+    except WorkerCrashError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _print(report, pretty=args.pretty)
     return 0 if report["ok"] else 1
 

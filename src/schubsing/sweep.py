@@ -10,8 +10,7 @@ membership sampling.  A report is a plain dict ready for JSON output.
 from __future__ import annotations
 
 import sys
-from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .components import Component, enumerate_components, verify_formulas
 from .kl import kl_closed_form, kl_recursion
@@ -28,6 +27,7 @@ from .symgroup import symmetric_group
 from .tangent import singular_points
 
 __all__ = [
+    "WorkerCrashError",
     "component_pairs",
     "is_smooth_tangent",
     "verify_all",
@@ -92,67 +92,47 @@ def verify_permutation(
     }
 
 
+class WorkerCrashError(RuntimeError):
+    """A ``verify_all`` worker process died before returning its chunk."""
+
+
 def _record_failures(record: dict) -> list[dict]:
     """Failure witnesses (w, v, check, detail) extracted from one record."""
-    failures = []
-    if record["smooth_pattern"] != record["smooth_tangent"]:
-        failures.append(
-            {
-                "w": record["w"],
-                "v": None,
-                "check": "smoothness",
-                "detail": f"pattern {record['smooth_pattern']}, "
-                f"tangent {record['smooth_tangent']}",
-            }
-        )
-    for entry in record["components"]:
-        if not entry["formulas_ok"]:
-            failures.append(
-                {
-                    "w": record["w"],
-                    "v": entry["v"],
-                    "check": "formulas",
-                    "detail": f"type {entry['type']} double equalities fail",
-                }
-            )
-        if not entry["kl_ok"]:
-            failures.append(
-                {
-                    "w": record["w"],
-                    "v": entry["v"],
-                    "check": "kl",
-                    "detail": f"closed form {entry['kl_closed']} "
-                    f"!= recursion {entry['kl_recursion']}",
-                }
-            )
-        if entry["slice_error"] is not None:
-            failures.append(
-                {
-                    "w": record["w"],
-                    "v": entry["v"],
-                    "check": "slice-structure",
-                    "detail": entry["slice_error"],
-                }
-            )
-        elif not entry["slice_ok"]:
-            failures.append(
-                {
-                    "w": record["w"],
-                    "v": entry["v"],
-                    "check": "slice",
-                    "detail": "; ".join(entry["slice_failures"]),
-                }
-            )
-    return failures
+    pattern, tangent = record["smooth_pattern"], record["smooth_tangent"]
+    rows = [(None, "smoothness", pattern == tangent, f"pattern {pattern}, tangent {tangent}")]
+    for e in record["components"]:
+        error = e["slice_error"]
+        rows += [
+            (e["v"], "formulas", e["formulas_ok"], f"type {e['type']} double equalities fail"),
+            (e["v"], "kl", e["kl_ok"],
+             f"closed form {e['kl_closed']} != recursion {e['kl_recursion']}"),
+            (e["v"], "slice-structure", error is None, error),
+            (e["v"], "slice", error is not None or e["slice_ok"], "; ".join(e["slice_failures"])),
+        ]
+    return [
+        {"w": record["w"], "v": v, "check": check, "detail": detail}
+        for v, check, ok, detail in rows
+        if not ok
+    ]
 
 
 def _verify_chunk(args: tuple[int, int, int, int, int]) -> list[dict]:
     n, lo, hi, trials, seed = args
-    group = symmetric_group(n)
-    return [
-        verify_permutation(Permutation(group.perms[i]), trials=trials, seed=seed)
-        for i in range(lo, hi)
-    ]
+    perms = symmetric_group(n).perms[lo:hi]
+    return [verify_permutation(Permutation(p), trials=trials, seed=seed) for p in perms]
+
+
+def _pool_map(jobs: int, tasks: list) -> Iterator[list[dict]]:
+    """``map(_verify_chunk, tasks)`` in order, over ``jobs`` worker processes."""
+    # Imported here so that importing the package loads no process machinery.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(jobs) as pool:
+        try:
+            yield from pool.map(_verify_chunk, tasks)
+        except BrokenProcessPool as exc:
+            raise WorkerCrashError("a worker process died; the sweep is incomplete") from exc
 
 
 def verify_all(
@@ -161,51 +141,33 @@ def verify_all(
     seed: int = DEFAULT_SEED,
     jobs: int = 1,
     progress: bool = False,
-    keep_records: bool = False,
 ) -> dict:
-    """Sweep all of S_n and aggregate counters plus failure witnesses."""
-    group = symmetric_group(n)
-    total = len(group.perms)
-    records: list[dict] = []
-    if jobs <= 1:
-        step = max(1, total // 40)
-        for i in range(total):
-            records.append(
-                verify_permutation(
-                    Permutation(group.perms[i]), trials=trials, seed=seed
-                )
-            )
-            if progress and ((i + 1) % step == 0 or i + 1 == total):
-                print(f"  {i + 1}/{total} permutations", file=sys.stderr, flush=True)
-    else:
-        chunk = max(1, total // (jobs * 8))
-        tasks = [
-            (n, lo, min(lo + chunk, total), trials, seed)
-            for lo in range(0, total, chunk)
-        ]
-        done = 0
-        with Pool(jobs) as pool:
-            for part in pool.imap(_verify_chunk, tasks):
-                records.extend(part)
-                done += len(part)
-                if progress:
-                    print(
-                        f"  {done}/{total} permutations", file=sys.stderr, flush=True
-                    )
+    """Sweep all of S_n and aggregate counters plus failure witnesses.
+
+    S_n is cut into the same chunks whatever ``jobs`` is, so the report and
+    the progress lines (one per chunk) do not depend on it.  With ``jobs > 1``
+    a dead worker raises :class:`WorkerCrashError`.
+    """
+    total = len(symmetric_group(n).perms)
+    step = max(1, total // 40)
+    tasks = [(n, lo, min(lo + step, total), trials, seed) for lo in range(0, total, step)]
+    parts = map(_verify_chunk, tasks) if jobs == 1 else _pool_map(jobs, tasks)
 
     by_type: dict[str, int] = {}
     witnesses: list[dict] = []
     smooth_count = 0
-    component_count = 0
-    for record in records:
-        if record["smooth_pattern"] and record["smooth_tangent"]:
-            smooth_count += 1
-        component_count += len(record["components"])
-        for entry in record["components"]:
-            by_type[entry["type"]] = by_type.get(entry["type"], 0) + 1
-        witnesses.extend(_record_failures(record))
+    done = 0
+    for part in parts:
+        for record in part:
+            smooth_count += record["smooth_pattern"] and record["smooth_tangent"]
+            for entry in record["components"]:
+                by_type[entry["type"]] = by_type.get(entry["type"], 0) + 1
+            witnesses.extend(_record_failures(record))
+        done += len(part)
+        if progress:
+            print(f"  {done}/{total} permutations", file=sys.stderr, flush=True)
 
-    report = {
+    return {
         "n": n,
         "trials": trials,
         "seed": seed,
@@ -213,13 +175,10 @@ def verify_all(
             "permutations_checked": total,
             "smooth_count": smooth_count,
             "singular_count": total - smooth_count,
-            "component_pairs": component_count,
+            "component_pairs": sum(by_type.values()),
             "components_by_type": dict(sorted(by_type.items())),
         },
         "failures": len(witnesses),
         "failure_witnesses": witnesses,
         "ok": not witnesses,
     }
-    if keep_records:
-        report["records"] = records
-    return report

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
 import json
+import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -169,7 +171,7 @@ def test_nonpositive_trials_and_jobs_exit_2(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(schubsing.sweep, "Pool", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     captured = capsys.readouterr()
@@ -184,12 +186,13 @@ def test_verify_all_deterministic(capsys):
     assert first == second
 
 
-def test_verify_all_parallel_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "verify-all", "--n", "4", "--trials", "5")
-    _, parallel, _ = run_cli(
-        capsys, "verify-all", "--n", "4", "--trials", "5", "--jobs", "2"
-    )
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_all_parallel_matches_serial(capsys, n):
+    argv = ("verify-all", "--n", str(n), "--trials", "5", "--progress")
+    serial = run_cli(capsys, *argv)
+    parallel = run_cli(capsys, *argv, "--jobs", "2")
     assert serial == parallel
+    assert serial[2].count("permutations\n") == min(40, math.factorial(n))
 
 
 def test_slice_output_deterministic(capsys):
@@ -207,3 +210,61 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["smooth"] is False
+
+
+def _run_script(script):
+    """Run Python source in a fresh interpreter that imports this schubsing."""
+    src = os.path.dirname(os.path.dirname(schubsing.sweep.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+
+
+DYING_WORKER = """
+import os, sys
+import schubsing.sweep
+from schubsing.cli import main
+
+parent = os.getpid()
+real = schubsing.sweep.verify_permutation
+
+def dying(*args, **kwargs):
+    if os.getpid() != parent:
+        os._exit(3)
+    return real(*args, **kwargs)
+
+schubsing.sweep.verify_permutation = dying
+sys.exit(main(["verify-all", "--n", "4", "--trials", "1", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="needs two CPUs and fork-started workers that inherit the patch",
+)
+def test_dead_worker_exits_1():
+    proc = _run_script(DYING_WORKER)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_import_loads_no_process_machinery():
+    proc = _run_script(
+        "import json, sys\n"
+        "import schubsing\n"
+        "from schubsing.cli import main\n"
+        "main(['singular-locus', '4231'])\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "print(json.dumps(loaded), file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stderr) == []
