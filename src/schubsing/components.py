@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 from random import Random
@@ -62,7 +61,7 @@ TYPE_3412_STAR = "3412*"
 TYPE_3412_EMPTY = "3412empty"
 
 Cell = tuple[int, int]
-Point = tuple[Fraction, ...]
+Point = tuple[int, ...]
 
 
 class ClassificationError(RuntimeError):
@@ -113,7 +112,7 @@ class Component(ABC):
 
     @abstractmethod
     def cone_sample(self, frame: tuple, free: Sequence[Cell], rng: Random) -> Point:
-        """One exact point of the cone."""
+        """One exact integer point of the cone."""
 
     @abstractmethod
     def parametrization_rank(self, frame: tuple, free: Sequence[Cell], rng: Random) -> int:
@@ -166,7 +165,7 @@ class _BilinearComponent(Component):
         value: dict[Param, int] = {}
         for group in groups:
             value.update(zip(group, _draw_vector(rng, len(group))))
-        return tuple(Fraction(sign * value[a] * value[b]) for sign, a, b in products)
+        return tuple(sign * value[a] * value[b] for sign, a, b in products)
 
     def parametrization_rank(self, frame: tuple, free: Sequence[Cell], rng: Random) -> int:
         groups, products = self.bilinear_map(frame, free)
@@ -176,9 +175,9 @@ class _BilinearComponent(Component):
         col_of = {p: i for i, p in enumerate(value)}
         jac = []
         for sign, a, b in products:
-            row = [Fraction(0)] * len(col_of)
-            row[col_of[a]] = Fraction(sign * value[b])
-            row[col_of[b]] = Fraction(sign * value[a])
+            row = [0] * len(col_of)
+            row[col_of[a]] = sign * value[b]
+            row[col_of[b]] = sign * value[a]
             jac.append(row)
         return matrix_rank(jac)
 
@@ -294,13 +293,18 @@ class QuadricComponent(Component):
         return [quad]
 
     def cone_sample(self, frame: _Quadric, free: Sequence[Cell], rng: Random) -> Point:
+        # The solved coordinate would be -rest / a0; the quadric is
+        # homogeneous, so the point scaled by a0 is on the cone too, and
+        # it is integral.
         pairs = frame.pairs
         solved = pairs[0][1]
-        values = {cell: Fraction(rng.randint(-9, 9)) for cell in free}
+        values = {cell: rng.randint(-9, 9) for cell in free}
         while values[pairs[0][0]] == 0:
-            values[pairs[0][0]] = Fraction(rng.randint(-9, 9))
-        rest = sum((values[a] * values[b] for a, b in pairs[1:]), Fraction(0))
-        values[solved] = -rest / values[pairs[0][0]]
+            values[pairs[0][0]] = rng.randint(-9, 9)
+        a0 = values[pairs[0][0]]
+        rest = sum(values[a] * values[b] for a, b in pairs[1:])
+        values = {cell: a0 * x for cell, x in values.items()}
+        values[solved] = -rest
         return tuple(values[cell] for cell in free)
 
     def parametrization_rank(self, frame: _Quadric, free: Sequence[Cell], rng: Random) -> int:
@@ -308,19 +312,20 @@ class QuadricComponent(Component):
         solved = pairs[0][1]
         params = [cell for cell in free if cell != solved]
         col_of = {cell: i for i, cell in enumerate(params)}
-        point = {cell: Fraction(val) for cell, val in zip(params, _draw_nonzero(rng, len(params)))}
+        point = dict(zip(params, _draw_nonzero(rng, len(params))))
         a0 = point[pairs[0][0]]
         jac = []
         for cell in free:
-            row = [Fraction(0)] * len(params)
+            row = [0] * len(params)
             if cell != solved:
-                row[col_of[cell]] = Fraction(1)
+                row[col_of[cell]] = 1
             else:
-                rest = sum((point[a] * point[b] for a, b in pairs[1:]), Fraction(0))
-                row[col_of[pairs[0][0]]] = rest / (a0 * a0)
+                # The gradient of -rest / a0, times a0^2 (a nonzero row
+                # scale, so the rank is unchanged).
+                row[col_of[pairs[0][0]]] = sum(point[a] * point[b] for a, b in pairs[1:])
                 for a, b in pairs[1:]:
-                    row[col_of[a]] = -point[b] / a0
-                    row[col_of[b]] = -point[a] / a0
+                    row[col_of[a]] = -point[b] * a0
+                    row[col_of[b]] = -point[a] * a0
             jac.append(row)
         return matrix_rank(jac)
 

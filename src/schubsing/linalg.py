@@ -1,8 +1,9 @@
-"""Exact rational linear algebra and multilinear polynomial scraps.
+"""Exact integer linear algebra and multilinear polynomial scraps.
 
-Everything the slice geometry needs and nothing more: matrix rank over the
-rationals by Gaussian elimination on ``fractions.Fraction`` entries, plus a
-tiny representation for the polynomials that show up as slice equations.
+Everything the slice geometry needs and nothing more: fraction-free row
+reduction over the integers (matrix rank, and the echelon form the
+membership test reads its rank conditions from), plus a tiny representation
+for the polynomials that show up as slice equations.
 
 Those polynomials are always multilinear with integer coefficients: every
 variable is one matrix entry, and a determinant uses each entry at most
@@ -12,7 +13,9 @@ integer coefficient; the empty tuple is the constant term.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -26,38 +29,57 @@ __all__ = [
     "poly_scale",
     "poly_to_string",
     "poly_var",
+    "reduce_row",
     "sym_det",
 ]
 
 Poly = dict[tuple[int, ...], int]
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a small dense matrix over the rationals."""
-    work = [list(row) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(work)) if work[r][col] != 0), None
-        )
-        if pivot is None:
+
+def reduce_row(pivots: dict[int, list[int]], row: Sequence[Rational]) -> int | None:
+    """Reduce one rational row against an echelon basis, fraction-free.
+
+    ``pivots`` maps a column to the stored basis row whose last nonzero
+    entry sits in it.  The row is first scaled to integers by the least
+    common multiple of its denominators, then each step replaces it by
+    a.row - b.pivot, which zeroes its last nonzero entry (Bareiss-style:
+    no division, so ints stay ints).  A row left nonzero joins the basis,
+    divided by the gcd of its entries, and its column is returned; a row in
+    the span returns None.  Scaling a row never changes the span, so the
+    basis spans the same space as the rows fed in.
+    """
+    den = lcm(*map(_denominator, row))
+    if den == 1:
+        work = list(map(_numerator, row))
+    else:
+        work = [x.numerator * (den // x.denominator) for x in row]
+    lead = len(work) - 1
+    while lead >= 0:
+        if not work[lead]:
+            lead -= 1
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = Fraction(1, 1) / prow[col]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col] * inv
-            if factor:
-                row = work[r]
-                for c in range(col, ncols):
-                    row[c] -= factor * prow[c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = gcd(*work)
+            pivots[lead] = [x // g for x in work] if g != 1 else work
+            return lead
+        a, b = pivot[lead], work[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        work = [a * x - b * y for x, y in zip(work, pivot)]
+        lead -= 1
+    return None
+
+
+def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank of a small dense matrix over the rationals, by integer elimination."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        reduce_row(pivots, row)
+    return len(pivots)
 
 
 def poly_var(i: int) -> Poly:
@@ -96,10 +118,9 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def poly_eval(p: Poly, values: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for mono, coeff in p.items():
-        term = Fraction(coeff)
+def poly_eval(p: Poly, values: Sequence[int]) -> int:
+    total = 0
+    for mono, term in p.items():
         for i in mono:
             term *= values[i]
         total += term

@@ -16,6 +16,7 @@ on the combinatorics in this module.  Conventions, fixed once and for all:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -68,6 +69,23 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.values!r})"
+
+    @cached_property
+    def rank_table(self) -> RankTable:
+        """The rank table of w, built on first use and kept with w.
+
+        ``cached_property`` stores it in the instance ``__dict__``, which a
+        frozen dataclass allows; equality and hashing still see ``values``
+        only.
+        """
+        n = self.n
+        rows: list[tuple[int, ...]] = [(0,) * (n + 1)]
+        prev = rows[0]
+        for wp in self.values:
+            row = tuple(prev[q] + (1 if wp <= q else 0) for q in range(n + 1))
+            rows.append(row)
+            prev = row
+        return RankTable(n, tuple(rows))
 
 
 def make_permutation(values: Iterable[int]) -> Permutation:
@@ -164,20 +182,12 @@ class RankTable:
 
 
 def rank_table(w: Permutation) -> RankTable:
-    """The rank table of w, built row by row.
+    """The rank table of w, built once per permutation object.
 
     >>> rank_table(Permutation((2, 4, 1, 3)))[2, 2]
     1
     """
-    n = w.n
-    rows: list[tuple[int, ...]] = [(0,) * (n + 1)]
-    prev = rows[0]
-    for p in range(1, n + 1):
-        wp = w.values[p - 1]
-        row = tuple(prev[q] + (1 if wp <= q else 0) for q in range(n + 1))
-        rows.append(row)
-        prev = row
-    return RankTable(n, tuple(rows))
+    return w.rank_table
 
 
 def permutation_from_rank_table(t: RankTable) -> Permutation:

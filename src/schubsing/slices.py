@@ -14,15 +14,16 @@ Two independent equation models are built over the free coordinates:
   rectangle (4231 type), one paired quadric (3412* type), or two rank-one
   blocks whose product vanishes (3412empty type).
 
-Membership of a flag in X_w is decided by exact rational rank conditions,
-so every check below is exact: no floating point anywhere.
+Sample points are integral (the quadric sampler scales its point to clear
+the one denominator), and membership of a flag in X_w is decided by rank
+conditions read off a fraction-free integer echelon form, so every check
+below is exact: no floating point, and no rational arithmetic either.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .linalg import (
     poly_is_homogeneous_quadratic,
     poly_to_string,
     poly_var,
+    reduce_row,
     sym_det,
 )
 from .perms import (
@@ -72,10 +74,13 @@ DEFAULT_SEED = 101
 
 @dataclass(frozen=True)
 class FlagMatrix:
-    """A full flag: row j holds the coordinates of the j-th flag generator."""
+    """A full flag: row j holds the coordinates of the j-th flag generator.
+
+    Entries are ints; :func:`in_schubert` also accepts rational entries.
+    """
 
     n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -228,14 +233,14 @@ def trivial_slice(v: Permutation) -> SliceModel:
     return SliceModel(v, v, None, (), (), (), None)
 
 
-def embed_point(s: SliceModel, assignment: Sequence[Fraction]) -> FlagMatrix:
+def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
     """Fill the chart of v with an assignment of the free coordinates."""
     n = s.v.n
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        grid[j - 1][s.v(j) - 1] = Fraction(1)
+    grid = [[0] * n for _ in range(n)]
+    for row, vj in zip(grid, s.v.values):
+        row[vj - 1] = 1
     for value, (j, k) in zip(assignment, s.free):
-        grid[j - 1][k - 1] = Fraction(value)
+        grid[j - 1][k - 1] = value
     return FlagMatrix(n, tuple(tuple(row) for row in grid))
 
 
@@ -243,35 +248,26 @@ def in_schubert(w: Permutation, flag: FlagMatrix) -> bool:
     """Exact membership of a flag in X_w by rank conditions.
 
     For every p, q the span of the first p generators must meet the span of
-    the first q coordinate vectors in dimension at least r_w(p, q).
+    the first q coordinate vectors in dimension at least r_w(p, q).  The
+    generators are reduced one by one to an echelon form keyed by each
+    row's last nonzero column (:func:`schubsing.linalg.reduce_row`).
     """
     if flag.n != w.n:
         raise ValueError(f"size mismatch: flag {flag.n} vs permutation {w.n}")
     n = w.n
-    rw = rank_table(w)
-    pivots: dict[int, list[Fraction]] = {}
+    rw = rank_table(w).rows
+    pivots: dict[int, list[int]] = {}
+    # above[q] = #{pivot columns >= q}; 0-indexed pivot column c stands for
+    # coordinate c+1, so dim(W_p meet V_q) = p - above[q].
+    above = [0] * (n + 1)
     for p in range(1, n + 1):
-        row = list(flag.rows[p - 1])
-        while True:
-            lead = next((col for col in range(n - 1, -1, -1) if row[col]), None)
-            if lead is None:
-                break
-            existing = pivots.get(lead)
-            if existing is None:
-                pivots[lead] = row
-                break
-            factor = row[lead] / existing[lead]
-            for col in range(lead + 1):
-                row[col] -= factor * existing[col]
-        # dim(W_p meet V_q) = p - #{pivot columns > q}, with 0-indexed
-        # pivot column c standing for coordinate c+1.
-        suffix = [0] * (n + 1)
-        for col in pivots:
-            suffix[col] += 1
-        for col in range(n - 1, -1, -1):
-            suffix[col] += suffix[col + 1]
+        lead = reduce_row(pivots, flag.rows[p - 1])
+        if lead is not None:
+            for q in range(lead + 1):
+                above[q] += 1
+        rwp = rw[p]
         for q in range(1, n):
-            if p - suffix[q] < rw[p, q]:
+            if p - above[q] < rwp[q]:
                 return False
     return True
 
@@ -282,8 +278,8 @@ def _rng(seed: int, tag: str, v: Permutation, w: Permutation) -> random.Random:
     )
 
 
-def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[Fraction, ...]]:
-    """Exact points of the closed cone, as assignments of the free coordinates."""
+def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
+    """Integer points of the closed cone, as assignments of the free coordinates."""
     if s.component is None:
         raise ValueError("trivial slice has no cone to sample")
     rng = _rng(seed, "cone", s.v, s.w)
@@ -299,15 +295,13 @@ def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[Fraction, .
     return out
 
 
-def _sample_off_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[Fraction, ...]]:
+def _sample_off_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
     """Random assignments violating at least one closed equation."""
     rng = _rng(seed, "off", s.v, s.w)
     out = []
     for _ in range(trials):
         for _attempt in range(1000):
-            assignment = tuple(
-                Fraction(rng.randint(-9, 9)) for _ in s.free
-            )
+            assignment = tuple(rng.randint(-9, 9) for _ in s.free)
             if any(poly_eval(eq, assignment) for eq in s.closed_equations):
                 out.append(assignment)
                 break

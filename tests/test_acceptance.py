@@ -6,8 +6,10 @@ and then asserts.  Criteria 1-5 sweep every permutation of S_n for n up to
 variable SCHUBSING_N7 is set (minutes of single-core runtime).
 """
 
+import itertools
 import os
 import time
+from math import comb
 
 import pytest
 
@@ -39,26 +41,74 @@ def _all_perms(n):
     return [Permutation(values) for values in group.perms]
 
 
+def haiman_smooth_counts(nmax: int) -> list[int]:
+    """Coefficients of x^0 .. x^nmax in Haiman's generating function.
+
+    (1 - 5x + 3x^2 + x^2 sqrt(1 - 4x)) / (1 - 6x + 8x^2 - 4x^3) counts the
+    smooth Schubert varieties of S_n (Bona, Electron. J. Combin. 5, 1998).
+    The series is expanded in exact integers with
+    sqrt(1 - 4x) = 1 - 2 sum_{k >= 1} C_{k-1} x^k, C the Catalan numbers;
+    nothing in it depends on this package.
+    """
+    catalan = [comb(2 * k, k) // (k + 1) for k in range(nmax + 1)]
+    sqrt = [1] + [-2 * catalan[k - 1] for k in range(1, nmax + 1)]
+    numerator = [0] * (nmax + 3)
+    for k, coeff in enumerate((1, -5, 3)):
+        numerator[k] += coeff
+    for k in range(nmax + 1):
+        numerator[k + 2] += sqrt[k]
+    denominator = (1, -6, 8, -4)
+    series: list[int] = []
+    for k in range(nmax + 1):
+        series.append(
+            numerator[k]
+            - sum(denominator[i] * series[k - i] for i in range(1, 4) if i <= k)
+        )
+    return series
+
+
+def test_pattern_smooth_counts_match_haiman_series():
+    """The 3412/4231 pattern scan counts smooth w in S_1 .. S_8 as Haiman's series."""
+    expected = haiman_smooth_counts(8)
+    assert expected[1:] == [1, 2, 6, 22, 88, 366, 1552, 6652]
+    for n in range(1, 9):
+        count = sum(
+            1 for values in itertools.permutations(range(1, n + 1))
+            if is_smooth(Permutation(values))
+        )
+        assert count == expected[n], n
+
+
 def test_criterion_1_smoothness_equivalence(capsys):
     """Pattern test and tangent oracle agree on every w, n <= 6."""
     start = time.perf_counter()
     total = 0
     mismatches = []
+    # The sweep's smooth_count: w smooth by both pattern and tangent oracle.
+    smooth_counts = {}
     for n in SWEEP_SIZES:
+        smooth_counts[n] = 0
         for w in _all_perms(n):
             total += 1
-            if is_smooth(w) != is_smooth_tangent(w):
+            pattern, tangent = is_smooth(w), is_smooth_tangent(w)
+            if pattern != tangent:
                 mismatches.append(w.values)
+            smooth_counts[n] += pattern and tangent
     elapsed = time.perf_counter() - start
-    ok = not mismatches and elapsed < 120.0
+    haiman = haiman_smooth_counts(max(SWEEP_SIZES))
+    counts_ok = all(smooth_counts[n] == haiman[n] for n in SWEEP_SIZES)
+    ok = not mismatches and counts_ok and elapsed < 120.0
     _report(
         capsys,
         1,
         ok,
         f"smoothness equivalence on {total} permutations, "
-        f"{len(mismatches)} mismatches, {elapsed:.1f}s (budget 120s)",
+        f"{len(mismatches)} mismatches, smooth counts {list(smooth_counts.values())} "
+        f"{'match' if counts_ok else 'DIFFER FROM'} Haiman's series, "
+        f"{elapsed:.1f}s (budget 120s)",
     )
     assert not mismatches, mismatches[:5]
+    assert counts_ok, (smooth_counts, haiman)
     assert elapsed < 120.0
 
 
@@ -221,3 +271,7 @@ def test_criterion_8_extended_sweep(capsys):
         f"{report['failures']} failures, {elapsed / 60:.1f} min",
     )
     assert ok, report["failure_witnesses"][:5]
+    assert summary["permutations_checked"] == 5040
+    assert summary["smooth_count"] == haiman_smooth_counts(7)[7] == 1552
+    assert summary["component_pairs"] == 8426
+    assert summary["components_by_type"] == {"3412*": 3450, "3412empty": 988, "4231": 3988}

@@ -268,3 +268,19 @@ def test_import_loads_no_process_machinery():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stderr) == []
+
+
+def test_sweep_loads_no_rational_arithmetic():
+    # Slice verification runs in ints end to end; `fractions` creeping back
+    # into the hot path would show up as an import.
+    proc = _run_script(
+        "import sys\n"
+        "import schubsing\n"
+        "from schubsing.cli import main\n"
+        "code = main(['verify-all', '--n', '4', '--trials', '3'])\n"
+        "print('fractions' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["ok"] is True
+    assert proc.stderr.strip() == "False"

@@ -1,11 +1,13 @@
 """Tests for transversal slice models, sampling, and exact membership."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import schubsing.slices
 from schubsing.components import RectangleComponent, classify_component
 from schubsing.linalg import poly_eval
 from schubsing.perms import (
@@ -226,6 +228,20 @@ def test_verify_slice_all_pairs(n):
     for w, c in component_pairs(n):
         verdict = verify_slice(c, w, trials=25, seed=101)
         assert verdict.ok, (w.values, c.v.values, verdict.failures)
+
+
+def test_failure_witness_prints_plain_integers(monkeypatch):
+    """A forced containment failure names its cone point as a tuple of ints."""
+    w = make_permutation([3, 4, 1, 2])
+    c = classify_component(make_permutation([1, 3, 2, 4]), w)
+    monkeypatch.setattr(schubsing.slices, "sample_cone", schubsing.slices._sample_off_cone)
+    verdict = verify_slice(c, w, trials=3, seed=101)
+    assert not verdict.containment_ok
+    witness = verdict.failures[0]
+    assert witness.startswith("containment: cone point (")
+    assert not any("Fraction(" in note for note in verdict.failures)
+    point = ast.literal_eval(witness[len("containment: cone point "):-len(" escapes X_w")])
+    assert len(point) == 4 and all(type(x) is int for x in point)
 
 
 def test_zero_assignment_vanishes_in_determinantal_model():
