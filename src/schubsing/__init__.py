@@ -16,7 +16,7 @@ from .components import (
     enumerate_components,
     verify_formulas,
 )
-from .kl import clear_kl_cache, kl_closed_form, kl_recursion
+from .kl import clear_kl_cache, kl_recursion
 from .patterns import PatternOccurrence, find_patterns, is_smooth
 from .perms import (
     Permutation,
@@ -85,7 +85,6 @@ __all__ = [
     "in_schubert",
     "inverse",
     "is_smooth",
-    "kl_closed_form",
     "kl_recursion",
     "length",
     "longest_element",

@@ -4,8 +4,8 @@ Permutations are written in one-line notation, either comma-separated
 (``4,2,3,1``) or as a digit string when every value is below ten (``4231``).
 All output is JSON with sorted keys, so repeated runs with the same
 arguments produce byte-identical bytes.  Exit codes: 0 on success, 1 when a
-verification reports failures or a ``verify-all`` worker process dies, 2 on
-usage errors.
+verification reports failures, a slice does not fit its family's structure,
+or a ``verify-all`` worker process dies, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from .components import classify_component, enumerate_components
-from .kl import kl_closed_form, kl_recursion
+from .components import SliceStructureError, classify_component, enumerate_components
+from .kl import kl_recursion
 from .patterns import find_patterns
 from .perms import format_permutation, length, parse_permutation
 from .slices import (
@@ -32,7 +32,8 @@ from .tangent import singular_components, tangent_dimension
 
 __all__ = ["main"]
 
-_VERIFY_MAX_N = 8
+# n = 8 waits on compact KL tables: its KL memo alone would need about 20 GB.
+_VERIFY_MAX_N = 7
 
 
 def _print(data: object, pretty: bool = True) -> None:
@@ -109,7 +110,7 @@ def cmd_kl(args: argparse.Namespace) -> int:
     recursion = kl_recursion(v, w)
     closed: tuple[int, ...] | None = None
     if v != w and v in singular_components(w):
-        closed = kl_closed_form(classify_component(v, w))
+        closed = classify_component(v, w).kl_closed_form()
     _print(
         {
             "v": format_permutation(v),
@@ -144,17 +145,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_verify_all(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= _VERIFY_MAX_N:
         print(
-            f"error: --n must be between 2 and {_VERIFY_MAX_N}", file=sys.stderr
+            f"error: --n must be between 2 and {_VERIFY_MAX_N}"
+            " (n = 8 waits on compact KL tables)",
+            file=sys.stderr,
         )
         return 2
     progress = args.progress or args.n >= 7
-    try:
-        report = verify_all(
-            args.n, trials=args.trials, seed=args.seed, jobs=args.jobs, progress=progress
-        )
-    except WorkerCrashError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = verify_all(
+        args.n, trials=args.trials, seed=args.seed, jobs=args.jobs, progress=progress
+    )
     _print(report, pretty=args.pretty)
     return 0 if report["ok"] else 1
 
@@ -262,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SliceStructureError, WorkerCrashError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,12 +31,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from random import Random
 from typing import ClassVar, NamedTuple, Sequence
 
-from .linalg import Poly, matrix_rank, poly_add, poly_mul, poly_scale, poly_var
+from .linalg import (
+    Poly,
+    matrix_rank,
+    poly_add,
+    poly_canonical,
+    poly_mul,
+    poly_scale,
+    poly_var,
+)
 from .perms import Permutation, format_permutation, inverse, length
 from .symgroup import symmetric_group
 from .tangent import singular_components, tangent_dimension
@@ -115,8 +123,8 @@ class Component(ABC):
         """One exact integer point of the cone."""
 
     @abstractmethod
-    def parametrization_rank(self, frame: tuple, free: Sequence[Cell], rng: Random) -> int:
-        """Exact Jacobian rank of the cone's parametrization at a generic point."""
+    def dim_rank(self, frame: tuple, free: Sequence[Cell], rng: Random) -> tuple[str, int, int]:
+        """The exact rank the ``dim`` check tests: (what is ranked, found, expected)."""
 
     def json_fields(self) -> dict:
         """The component's entry fields in ``singular-locus`` and sweep reports."""
@@ -141,53 +149,69 @@ def _draw_nonzero(rng: Random, count: int) -> list[int]:
     return [rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9)) for _ in range(count)]
 
 
-def _minor(var_of: dict[Cell, int], a: Cell, b: Cell, a2: Cell, b2: Cell, sign: int = -1) -> Poly:
-    """x_a.x_b + sign.x_a2.x_b2 in the free coordinates: a 2 x 2 minor by default."""
-    lead = poly_mul(poly_var(var_of[a]), poly_var(var_of[b]))
-    anti = poly_mul(poly_var(var_of[a2]), poly_var(var_of[b2]))
-    return poly_add(lead, poly_scale(anti, sign))
+class _Grid(NamedTuple):
+    # A rank-one matrix of free coordinates: on the cone x_cell =
+    # sign.row_r.col_c for cells[r][c] = (sign, cell).  The columns are cut
+    # into consecutive blocks, each drawn as its own vector.
+    cells: list[list[tuple[int, Cell]]]
+    blocks: list[range]
 
 
-Param = tuple[str, int]
-BilinearMap = tuple[list[list[Param]], list[tuple[int, Param, Param]]]
+def _draw_factors(frame: _Grid, draw, rng: Random) -> tuple[list[int], list[int]]:
+    """The row vector, then one column vector per block, drawn in that order."""
+    rows = draw(rng, len(frame.cells))
+    cols = [x for block in frame.blocks for x in draw(rng, len(block))]
+    return rows, cols
 
 
-class _BilinearComponent(Component):
-    """A family whose cone is a bilinear image: each coordinate is sign.p_a.p_b."""
+class _RankOneComponent(Component):
+    """A family whose slice is a cone of rank-one matrices, framed by a :class:`_Grid`."""
 
-    @abstractmethod
-    def bilinear_map(self, frame: tuple, free: Sequence[Cell]) -> BilinearMap:
-        """The parameter groups, and (sign, a, b) for each free coordinate."""
+    def closed_equations(self, frame: _Grid, var_of: dict[Cell, int]) -> list[Poly]:
+        # For each pair of rows: the column pairs inside each block, block
+        # by block, then the pairs across blocks.
+        col_pairs = [pair for block in frame.blocks for pair in combinations(block, 2)]
+        col_pairs += [pair for b1, b2 in combinations(frame.blocks, 2) for pair in product(b1, b2)]
 
-    def cone_sample(self, frame: tuple, free: Sequence[Cell], rng: Random) -> Point:
-        # Each parameter group is drawn as one nonzero vector.
-        groups, products = self.bilinear_map(frame, free)
-        value: dict[Param, int] = {}
-        for group in groups:
-            value.update(zip(group, _draw_vector(rng, len(group))))
-        return tuple(sign * value[a] * value[b] for sign, a, b in products)
+        def entry(signed: tuple[int, Cell]) -> Poly:
+            # The rank-one matrix holds sign.x_cell at each cell.
+            return poly_scale(poly_var(var_of[signed[1]]), signed[0])
 
-    def parametrization_rank(self, frame: tuple, free: Sequence[Cell], rng: Random) -> int:
-        groups, products = self.bilinear_map(frame, free)
-        value: dict[Param, int] = {}
-        for group in groups:
-            value.update(zip(group, _draw_nonzero(rng, len(group))))
-        col_of = {p: i for i, p in enumerate(value)}
-        jac = []
-        for sign, a, b in products:
-            row = [0] * len(col_of)
-            row[col_of[a]] = sign * value[b]
-            row[col_of[b]] = sign * value[a]
-            jac.append(row)
-        return matrix_rank(jac)
+        return [
+            dict(poly_canonical(poly_add(
+                poly_mul(entry(top[c1]), entry(bottom[c2])),
+                poly_scale(poly_mul(entry(top[c2]), entry(bottom[c1])), -1),
+            )))
+            for top, bottom in combinations(frame.cells, 2)
+            for c1, c2 in col_pairs
+        ]
+
+    def cone_sample(self, frame: _Grid, free: Sequence[Cell], rng: Random) -> Point:
+        rows, cols = _draw_factors(frame, _draw_vector, rng)
+        value = {
+            cell: sign * rows[r] * cols[c]
+            for r, line in enumerate(frame.cells)
+            for c, (sign, cell) in enumerate(line)
+        }
+        return tuple(value[cell] for cell in free)
+
+    def parametrization_rank(self, frame: _Grid, free: Sequence[Cell], rng: Random) -> int:
+        """Exact Jacobian rank of (rows, cols) -> cone point at a generic point."""
+        rows, cols = _draw_factors(frame, _draw_nonzero, rng)
+        jac: dict[Cell, list[int]] = {}
+        for r, line in enumerate(frame.cells):
+            for c, (sign, cell) in enumerate(line):
+                row = [0] * (len(rows) + len(cols))
+                row[r] = sign * cols[c]
+                row[len(rows) + c] = sign * rows[r]
+                jac[cell] = row
+        return matrix_rank([jac[cell] for cell in free])
+
+    def dim_rank(self, frame: _Grid, free: Sequence[Cell], rng: Random) -> tuple[str, int, int]:
+        return "parametrization", self.parametrization_rank(frame, free, rng), self.codim
 
 
-class _Rectangle(NamedTuple):
-    rows: list[int]
-    cols: list[int]
-
-
-class RectangleComponent(_BilinearComponent):
+class RectangleComponent(_RankOneComponent):
     """4231 type: the slice is the cone of rank-one (l+1) x (m+1) matrices."""
 
     ctype = TYPE_4231
@@ -204,7 +228,7 @@ class RectangleComponent(_BilinearComponent):
             and dim == lv + (self.l + 1) * (self.m + 1)
         )
 
-    def fit_frame(self, free: list[Cell]) -> _Rectangle:
+    def fit_frame(self, free: list[Cell]) -> _Grid:
         rows = sorted({j for j, _ in free})
         cols = sorted({k for _, k in free})
         assert self.m is not None
@@ -217,19 +241,7 @@ class RectangleComponent(_BilinearComponent):
                 f"4231 slice of {self.v.values}: rectangle is {len(rows)} x {len(cols)}, "
                 f"expected sides {self.l + 1} and {self.m + 1}"
             )
-        return _Rectangle(rows, cols)
-
-    def closed_equations(self, frame: _Rectangle, var_of: dict[Cell, int]) -> list[Poly]:
-        return [
-            _minor(var_of, (j1, k1), (j2, k2), (j1, k2), (j2, k1))
-            for j1, j2 in combinations(frame.rows, 2)
-            for k1, k2 in combinations(frame.cols, 2)
-        ]
-
-    def bilinear_map(self, frame: _Rectangle, free: Sequence[Cell]) -> BilinearMap:
-        rows, cols = frame
-        groups = [[("u", j) for j in rows], [("x", k) for k in cols]]
-        return groups, [(1, ("u", j), ("x", k)) for j, k in free]
+        return _Grid([[(1, (j, k)) for k in cols] for j in rows], [range(len(cols))])
 
 
 class _Quadric(NamedTuple):
@@ -307,40 +319,17 @@ class QuadricComponent(Component):
         values[solved] = -rest
         return tuple(values[cell] for cell in free)
 
-    def parametrization_rank(self, frame: _Quadric, free: Sequence[Cell], rng: Random) -> int:
-        pairs = frame.pairs
-        solved = pairs[0][1]
-        params = [cell for cell in free if cell != solved]
-        col_of = {cell: i for i, cell in enumerate(params)}
-        point = dict(zip(params, _draw_nonzero(rng, len(params))))
-        a0 = point[pairs[0][0]]
-        jac = []
-        for cell in free:
-            row = [0] * len(params)
-            if cell != solved:
-                row[col_of[cell]] = 1
-            else:
-                # The gradient of -rest / a0, times a0^2 (a nonzero row
-                # scale, so the rank is unchanged).
-                row[col_of[pairs[0][0]]] = sum(point[a] * point[b] for a, b in pairs[1:])
-                for a, b in pairs[1:]:
-                    row[col_of[a]] = -point[b] * a0
-                    row[col_of[b]] = -point[a] * a0
-            jac.append(row)
-        return matrix_rank(jac)
+    def dim_rank(self, frame: _Quadric, free: Sequence[Cell], rng: Random) -> tuple[str, int, int]:
+        # The quadric is nondegenerate: its symmetric coefficient matrix has
+        # full rank, so the cone is the quadric cone of dimension codim.
+        index = {cell: i for i, cell in enumerate(free)}
+        coeffs = [[0] * len(free) for _ in free]
+        for a, b in frame.pairs:
+            coeffs[index[a]][index[b]] = coeffs[index[b]][index[a]] = 1
+        return "quadric", matrix_rank(coeffs), len(free)
 
 
-class _TwoBlocks(NamedTuple):
-    # Block A: rows_a x cols_a (two columns); block B: rows_b (two rows) x
-    # cols_b; v sends rows_b[i] to pair_cols[i], a column of block A.
-    rows_a: list[int]
-    cols_a: list[int]
-    rows_b: list[int]
-    cols_b: list[int]
-    pair_cols: list[int]
-
-
-class TwoBlockComponent(_BilinearComponent):
+class TwoBlockComponent(_RankOneComponent):
     """3412empty type: the slice is a cone of rank-one 2 x (l+m+2) matrices."""
 
     ctype = TYPE_3412_EMPTY
@@ -356,7 +345,7 @@ class TwoBlockComponent(_BilinearComponent):
             and dim == lv + 2 * (agg + 2)
         )
 
-    def fit_frame(self, free: list[Cell]) -> _TwoBlocks:
+    def fit_frame(self, free: list[Cell]) -> _Grid:
         v = self.v
         row_cols: dict[int, set[int]] = {}
         for j, k in free:
@@ -372,7 +361,7 @@ class TwoBlockComponent(_BilinearComponent):
             rows = sorted(j for j, cols in row_cols.items() if cols == colset)
             groups.append((rows, sorted(colset)))
 
-        def try_orientation(a_grp, b_grp) -> _TwoBlocks | None:
+        def try_orientation(a_grp, b_grp) -> _Grid | None:
             rows_a, cols_a = a_grp
             rows_b, cols_b = b_grp
             if len(cols_a) != 2 or len(rows_b) != 2:
@@ -383,8 +372,15 @@ class TwoBlockComponent(_BilinearComponent):
                 return None
             if (len(rows_a) - 1) + (len(cols_b) - 1) != self.l:
                 return None
+            # A 2-row grid: column i of block A holds cells (i, v(r1)) and
+            # (i, v(r2)); column k of block B holds -(r2, k) and (r1, k).
             r1, r2 = rows_b
-            return _TwoBlocks(rows_a, cols_a, [r1, r2], cols_b, [v(r1), v(r2)])
+            cells = [
+                [(1, (i, v(r1))) for i in rows_a] + [(-1, (r2, k)) for k in cols_b],
+                [(1, (i, v(r2))) for i in rows_a] + [(1, (r1, k)) for k in cols_b],
+            ]
+            split = len(rows_a)
+            return _Grid(cells, [range(split), range(split, split + len(cols_b))])
 
         frame = try_orientation(groups[0], groups[1]) or try_orientation(
             groups[1], groups[0]
@@ -395,31 +391,6 @@ class TwoBlockComponent(_BilinearComponent):
                 f"rank-one blocks matched by v"
             )
         return frame
-
-    def closed_equations(self, frame: _TwoBlocks, var_of: dict[Cell, int]) -> list[Poly]:
-        rows_a, cols_a, rows_b, cols_b, (c1, c2) = frame
-        r1, r2 = rows_b
-        closed: list[Poly] = []
-        for i1, i2 in combinations(rows_a, 2):
-            closed.append(_minor(var_of, (i1, cols_a[0]), (i2, cols_a[1]), (i1, cols_a[1]), (i2, cols_a[0])))
-        for k1, k2 in combinations(cols_b, 2):
-            closed.append(_minor(var_of, (r1, k1), (r2, k2), (r1, k2), (r2, k1)))
-        for i in rows_a:
-            for k in cols_b:
-                closed.append(_minor(var_of, (i, c1), (r1, k), (i, c2), (r2, k), sign=1))
-        return closed
-
-    def bilinear_map(self, frame: _TwoBlocks, free: Sequence[Cell]) -> BilinearMap:
-        rows_a, _, (r1, r2), cols_b, (c1, c2) = frame
-        groups = [[("s", 1), ("s", 2)], [("u", i) for i in rows_a], [("x", k) for k in cols_b]]
-        product = {}
-        for i in rows_a:
-            product[(i, c1)] = (1, ("s", 1), ("u", i))
-            product[(i, c2)] = (1, ("s", 2), ("u", i))
-        for k in cols_b:
-            product[(r1, k)] = (1, ("s", 2), ("x", k))
-            product[(r2, k)] = (-1, ("s", 1), ("x", k))
-        return groups, [product[cell] for cell in free]
 
 
 def classify_component(v: Permutation, w: Permutation) -> Component:

@@ -2,9 +2,9 @@
 
 Two independent routes, kept strictly apart so they can check each other:
 
-* :func:`kl_closed_form` reads the polynomial of a classified component off
-  its type: ``1 + q + ... + q^min(l, m)`` for 4231, ``1 + q^(l+1)`` for
-  3412*, and ``1 + q`` for 3412empty.
+* ``Component.kl_closed_form`` reads the polynomial of a classified
+  component off its family: ``1 + q + ... + q^min(l, m)`` for 4231,
+  ``1 + q^(l+1)`` for 3412*, and ``1 + q`` for 3412empty.
 * :func:`kl_recursion` evaluates the standard defining recursion in the
   Hecke algebra, with exact integer coefficients.  Writing s for the
   smallest left descent of w (always that one, for determinism) and
@@ -26,22 +26,16 @@ from __future__ import annotations
 
 import threading
 
-from .components import Component
 from .perms import Permutation, bruhat_leq
 from .symgroup import SymmetricGroup, symmetric_group
 
-__all__ = ["KLPoly", "kl_closed_form", "kl_recursion", "clear_kl_cache"]
+__all__ = ["KLPoly", "kl_recursion", "clear_kl_cache"]
 
 KLPoly = tuple[int, ...]
 
 _tables: dict[tuple[int, int], dict[int, KLPoly]] = {}
 _mu_supports: dict[tuple[int, int], dict[int, int]] = {}
 _lock = threading.RLock()
-
-
-def kl_closed_form(c: Component) -> KLPoly:
-    """The Kazhdan-Lusztig polynomial P(v, w) predicted by the component type."""
-    return c.kl_closed_form()
 
 
 def kl_recursion(v: Permutation, w: Permutation) -> KLPoly:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Permutation",
-    "RankTable",
     "all_transpositions",
     "bruhat_leq",
     "compose",
@@ -32,7 +31,6 @@ __all__ = [
     "longest_element",
     "make_permutation",
     "parse_permutation",
-    "permutation_from_rank_table",
     "rank_excess_region",
     "rank_table",
     "transposition",
@@ -71,8 +69,8 @@ class Permutation:
         return f"Permutation({self.values!r})"
 
     @cached_property
-    def rank_table(self) -> RankTable:
-        """The rank table of w, built on first use and kept with w.
+    def rank_table(self) -> tuple[tuple[int, ...], ...]:
+        """The rank table of w as rows, ``[p][q]`` = r_w(p, q), built once.
 
         ``cached_property`` stores it in the instance ``__dict__``, which a
         frozen dataclass allows; equality and hashing still see ``values``
@@ -85,7 +83,7 @@ class Permutation:
             row = tuple(prev[q] + (1 if wp <= q else 0) for q in range(n + 1))
             rows.append(row)
             prev = row
-        return RankTable(n, tuple(rows))
+        return tuple(rows)
 
 
 def make_permutation(values: Iterable[int]) -> Permutation:
@@ -166,45 +164,13 @@ def length(w: Permutation) -> int:
     )
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """The (n+1) x (n+1) table r_w(p, q) = #{i <= p : w(i) <= q}.
+def rank_table(w: Permutation) -> tuple[tuple[int, ...], ...]:
+    """The rank table of w as rows indexed ``[p][q]``, built once per object.
 
-    Row p and column q run from 0 to n; row 0 and column 0 are zero.
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, pq: tuple[int, int]) -> int:
-        p, q = pq
-        return self.rows[p][q]
-
-
-def rank_table(w: Permutation) -> RankTable:
-    """The rank table of w, built once per permutation object.
-
-    >>> rank_table(Permutation((2, 4, 1, 3)))[2, 2]
+    >>> rank_table(Permutation((2, 4, 1, 3)))[2][2]
     1
     """
     return w.rank_table
-
-
-def permutation_from_rank_table(t: RankTable) -> Permutation:
-    """Recover the unique permutation with the given rank table.
-
-    Inverse of :func:`rank_table`: position i takes the value q where the
-    2 x 2 corner of the table at (i, q) jumps by one.
-    """
-    vals = []
-    for p in range(1, t.n + 1):
-        for q in range(1, t.n + 1):
-            if t[p, q] - t[p - 1, q] - t[p, q - 1] + t[p - 1, q - 1] == 1:
-                vals.append(q)
-                break
-        else:
-            raise ValueError(f"row {p} of the table has no unit corner step")
-    return make_permutation(vals)
 
 
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
@@ -217,8 +183,8 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
-    rv = rank_table(v).rows
-    rw = rank_table(w).rows
+    rv = rank_table(v)
+    rw = rank_table(w)
     for p in range(1, v.n):
         rvp = rv[p]
         rwp = rw[p]
@@ -237,8 +203,8 @@ def rank_excess_region(v: Permutation, w: Permutation) -> frozenset[tuple[int, i
     """
     if v.n != w.n:
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
-    rv = rank_table(v).rows
-    rw = rank_table(w).rows
+    rv = rank_table(v)
+    rw = rank_table(w)
     return frozenset(
         (p, q)
         for p in range(1, v.n)

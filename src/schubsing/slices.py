@@ -10,9 +10,9 @@ Two independent equation models are built over the free coordinates:
 
 * the determinantal model: for every cell (p, q) of the excess region, all
   minors of size p - r_w(p, q) + 1 of rows 1..p against columns q+1..n;
-* the closed model, read off the component type: the 2 x 2 minors of a full
-  rectangle (4231 type), one paired quadric (3412* type), or two rank-one
-  blocks whose product vanishes (3412empty type).
+* the closed model, read off the component type: the 2 x 2 minors of a
+  rank-one matrix of free coordinates (4231 and 3412empty types), or one
+  nondegenerate quadric (3412* type).
 
 Sample points are integral (the quadric sampler scales its point to clear
 the one denominator), and membership of a flag in X_w is decided by rank
@@ -185,7 +185,7 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
     eqs: list[Poly] = []
     for p in range(1, n + 1):
         for q in range(1, n):
-            bound = p - rw[p, q]
+            bound = p - rw[p][q]
             size = bound + 1
             if size > min(p, n - q):
                 continue
@@ -255,7 +255,7 @@ def in_schubert(w: Permutation, flag: FlagMatrix) -> bool:
     if flag.n != w.n:
         raise ValueError(f"size mismatch: flag {flag.n} vs permutation {w.n}")
     n = w.n
-    rw = rank_table(w).rows
+    rw = rank_table(w)
     pivots: dict[int, list[int]] = {}
     # above[q] = #{pivot columns >= q}; 0-indexed pivot column c stands for
     # coordinate c+1, so dim(W_p meet V_q) = p - above[q].
@@ -279,7 +279,11 @@ def _rng(seed: int, tag: str, v: Permutation, w: Permutation) -> random.Random:
 
 
 def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
-    """Integer points of the closed cone, as assignments of the free coordinates."""
+    """Integer points of the closed cone, as assignments of the free coordinates.
+
+    A point that violates a closed equation means the family's sampler and
+    equations disagree about the frame: :class:`SliceStructureError`.
+    """
     if s.component is None:
         raise ValueError("trivial slice has no cone to sample")
     rng = _rng(seed, "cone", s.v, s.w)
@@ -288,7 +292,7 @@ def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
         assignment = s.component.cone_sample(s.frame, s.free, rng)
         for eq in s.closed_equations:
             if poly_eval(eq, assignment):
-                raise RuntimeError(
+                raise SliceStructureError(
                     f"cone sampler violated its own equation for {s.v.values}"
                 )
         out.append(assignment)
@@ -331,10 +335,10 @@ def verify_slice(
             f"tangent: {len(model.free)} free coordinates, expected {expected_dim}"
         )
 
-    rank = c.parametrization_rank(model.frame, model.free, _rng(seed, "jac", c.v, w))
-    dim_ok = rank == c.codim
+    ranked, rank, expected = c.dim_rank(model.frame, model.free, _rng(seed, "jac", c.v, w))
+    dim_ok = rank == expected
     if not dim_ok:
-        failures.append(f"dim: parametrization rank {rank}, expected {c.codim}")
+        failures.append(f"dim: {ranked} rank {rank}, expected {expected}")
 
     cone = sample_cone(model, trials, seed)
     off = _sample_off_cone(model, trials, seed)

@@ -13,7 +13,7 @@ import sys
 from typing import Iterator
 
 from .components import Component, enumerate_components, verify_formulas
-from .kl import kl_closed_form, kl_recursion
+from .kl import kl_recursion
 from .patterns import is_smooth
 from .perms import Permutation, format_permutation, length
 from .slices import (
@@ -24,20 +24,13 @@ from .slices import (
     verify_slice,
 )
 from .symgroup import symmetric_group
-from .tangent import singular_points
 
 __all__ = [
     "WorkerCrashError",
     "component_pairs",
-    "is_smooth_tangent",
     "verify_all",
     "verify_permutation",
 ]
-
-
-def is_smooth_tangent(w: Permutation) -> bool:
-    """Smoothness decided by tangent dimensions alone: no singular points."""
-    return not singular_points(w)
 
 
 def component_pairs(n: int) -> Iterator[tuple[Permutation, Component]]:
@@ -64,7 +57,7 @@ def verify_permutation(
     for c in classified:
         entry = c.json_fields()
         entry["formulas_ok"] = verify_formulas(c, w)
-        closed = kl_closed_form(c)
+        closed = c.kl_closed_form()
         recursion = kl_recursion(c.v, w)
         entry["kl_closed"] = list(closed)
         entry["kl_recursion"] = list(recursion)

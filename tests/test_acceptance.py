@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from schubsing.components import classify_component, verify_formulas
-from schubsing.kl import kl_closed_form, kl_recursion
+from schubsing.kl import kl_recursion
 from schubsing.patterns import is_smooth
 from schubsing.perms import Permutation, length, make_permutation
 from schubsing.slices import (
@@ -23,9 +23,9 @@ from schubsing.slices import (
     free_coordinates,
     verify_slice,
 )
-from schubsing.sweep import component_pairs, is_smooth_tangent, verify_all
+from schubsing.sweep import component_pairs, verify_all
 from schubsing.symgroup import symmetric_group
-from schubsing.tangent import singular_components, tangent_dimension
+from schubsing.tangent import singular_components, singular_points, tangent_dimension
 
 SWEEP_SIZES = (2, 3, 4, 5, 6)
 
@@ -34,6 +34,11 @@ def _report(capsys, criterion: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     with capsys.disabled():
         print(f"[acceptance] criterion {criterion}: {status} - {detail}")
+
+
+def is_smooth_tangent(w):
+    """Smoothness decided by tangent dimensions alone: no singular points."""
+    return not singular_points(w)
 
 
 def _all_perms(n):
@@ -141,7 +146,7 @@ def test_criterion_3_kl_closed_form(capsys):
     for n in SWEEP_SIZES:
         for w, c in component_pairs(n):
             pairs += 1
-            if kl_closed_form(c) != kl_recursion(c.v, w):
+            if c.kl_closed_form() != kl_recursion(c.v, w):
                 failures.append((w.values, c.v.values))
     spot = (
         kl_recursion(make_permutation([2, 1, 4, 3]), make_permutation([4, 2, 3, 1]))

@@ -12,6 +12,7 @@ import pytest
 import schubsing.slices
 import schubsing.sweep
 from schubsing.cli import main
+from schubsing.components import QuadricComponent
 from schubsing.slices import SliceVerdict
 
 
@@ -151,9 +152,16 @@ def test_verify_all_small(capsys):
     assert data["summary"]["smooth_count"] == 22
 
 
-def test_verify_all_n_guard(capsys):
+def test_verify_all_n_guard(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("schubsing.cli.verify_all", no_sweep)
     assert run_cli(capsys, "verify-all", "--n", "1")[0] == 2
     assert run_cli(capsys, "verify-all", "--n", "9")[0] == 2
+    code, out, err = run_cli(capsys, "verify-all", "--n", "8")
+    assert (code, out) == (2, "")
+    assert "between 2 and 7" in err and "compact KL tables" in err
 
 
 @pytest.mark.parametrize(
@@ -178,6 +186,17 @@ def test_nonpositive_trials_and_jobs_exit_2(capsys, monkeypatch, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be at least 1" in captured.err
+
+
+def test_slice_structure_error_exits_1(capsys, monkeypatch):
+    """A cone sampler off its own equations gives one error line, no traceback."""
+    monkeypatch.setattr(
+        QuadricComponent, "cone_sample", lambda self, frame, free, rng: (1,) * len(free)
+    )
+    code, out, err = run_cli(capsys, "slice", "1324", "3412")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cone sampler violated its own equation")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_all_deterministic(capsys):
@@ -230,6 +249,7 @@ DYING_WORKER = """
 import os, sys
 import schubsing.sweep
 from schubsing.cli import main
+from schubsing.components import QuadricComponent
 
 parent = os.getpid()
 real = schubsing.sweep.verify_permutation

@@ -82,7 +82,7 @@ def reference_in_schubert(w, rows):
         for col in range(n - 1, -1, -1):
             suffix[col] += suffix[col + 1]
         for q in range(1, n):
-            if p - suffix[q] < rw[p, q]:
+            if p - suffix[q] < rw[p][q]:
                 return False
     return True
 
@@ -151,6 +151,7 @@ def test_membership_matches_fraction_reference(small_pairs):
 
 
 def test_jacobian_rank_matches_fraction_reference(small_pairs, monkeypatch):
+    """The ``dim`` check's ranks: rank-one Jacobians and quadric coefficient matrices."""
     jacobians = []
 
     def recording_rank(rows):
@@ -160,7 +161,7 @@ def test_jacobian_rank_matches_fraction_reference(small_pairs, monkeypatch):
     monkeypatch.setattr(components, "matrix_rank", recording_rank)
     for w, c in small_pairs:
         free = free_coordinates(c.v, w)
-        c.parametrization_rank(c.fit_frame(free), free, _rng(SEED, "jac", c.v, w))
+        c.dim_rank(c.fit_frame(free), free, _rng(SEED, "jac", c.v, w))
     assert len(jacobians) == len(small_pairs)
     for rows in jacobians:
         assert all(type(x) is int for row in rows for x in row)

@@ -9,7 +9,7 @@ from schubsing.components import (
     RectangleComponent,
     TwoBlockComponent,
 )
-from schubsing.kl import kl_closed_form, kl_recursion
+from schubsing.kl import kl_recursion
 from schubsing.patterns import is_smooth
 from schubsing.perms import (
     Permutation,
@@ -104,7 +104,7 @@ def test_closed_forms_per_type():
         codim=6,
         excess=6,
     )
-    assert kl_closed_form(rect) == (1, 1, 1)
+    assert rect.kl_closed_form() == (1, 1, 1)
     star = QuadricComponent(
         v=make_permutation([1, 3, 2, 4]),
         l=2,
@@ -112,7 +112,7 @@ def test_closed_forms_per_type():
         codim=7,
         excess=1,
     )
-    assert kl_closed_form(star) == (1, 0, 0, 1)
+    assert star.kl_closed_form() == (1, 0, 0, 1)
     empty = TwoBlockComponent(
         v=make_permutation([1, 3, 2, 4]),
         l=4,
@@ -120,13 +120,13 @@ def test_closed_forms_per_type():
         codim=7,
         excess=5,
     )
-    assert kl_closed_form(empty) == (1, 1)
+    assert empty.kl_closed_form() == (1, 1)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_closed_form_matches_recursion(n):
     for w, c in component_pairs(n):
-        assert kl_closed_form(c) == kl_recursion(c.v, w), (w.values, c.v.values)
+        assert c.kl_closed_form() == kl_recursion(c.v, w), (w.values, c.v.values)
 
 
 def test_longest_element_interval_is_trivial():

@@ -18,7 +18,6 @@ from schubsing.perms import (
     longest_element,
     make_permutation,
     parse_permutation,
-    permutation_from_rank_table,
     rank_excess_region,
     rank_table,
     transposition,
@@ -27,6 +26,24 @@ from schubsing.perms import (
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 )
+
+
+def permutation_from_rank_table(t):
+    """Recover the unique permutation with the rank table ``t`` (rows ``[p][q]``).
+
+    Position i takes the value q where the 2 x 2 corner of the table at
+    (i, q) jumps by one.
+    """
+    n = len(t) - 1
+    vals = []
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            if t[p][q] - t[p - 1][q] - t[p][q - 1] + t[p - 1][q - 1] == 1:
+                vals.append(q)
+                break
+        else:
+            raise ValueError(f"row {p} of the table has no unit corner step")
+    return make_permutation(vals)
 
 
 def all_perms(n):
@@ -106,8 +123,8 @@ def test_rank_table_frozen_example():
         (4, 1): 1, (4, 2): 2, (4, 3): 3, (4, 4): 4,
     }
     for (p, q), value in expected.items():
-        assert r[p, q] == value
-    assert r[0, 3] == 0 and r[2, 0] == 0
+        assert r[p][q] == value
+    assert r[0][3] == 0 and r[2][0] == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -121,9 +138,9 @@ def test_rank_table_boundary_rows(values):
     w = Permutation(tuple(values))
     r = rank_table(w)
     for q in range(w.n + 1):
-        assert r[w.n, q] == q
+        assert r[w.n][q] == q
     for p in range(w.n + 1):
-        assert r[p, w.n] == p
+        assert r[p][w.n] == p
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

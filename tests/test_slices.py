@@ -1,6 +1,7 @@
 """Tests for transversal slice models, sampling, and exact membership."""
 
 import ast
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import schubsing.slices
-from schubsing.components import RectangleComponent, classify_component
+from schubsing.components import QuadricComponent, RectangleComponent, classify_component
 from schubsing.linalg import poly_eval
 from schubsing.perms import (
     Permutation,
@@ -30,7 +31,7 @@ from schubsing.slices import (
     trivial_slice,
     verify_slice,
 )
-from schubsing.sweep import component_pairs
+from schubsing.sweep import _record_failures, component_pairs, verify_permutation
 from schubsing.tangent import tangent_dimension
 
 
@@ -97,7 +98,10 @@ def test_3412_slice_is_one_quadric():
 
 
 def test_case3_slice_equations():
-    """Two-block model of the first aggregate-1 component pair in S_5."""
+    """Two-block models: the first aggregate-1 pair of S_5, and a pair with two lines per block.
+
+    The order is A-minors, then B-minors, then the mixed products.
+    """
     w = make_permutation([3, 5, 1, 4, 2])
     c = classify_component(make_permutation([1, 3, 2, 5, 4]), w)
     model = build_slice(c, w)
@@ -108,17 +112,38 @@ def test_case3_slice_equations():
         "m_1_2*m_3_4 + m_1_3*m_2_4",
         "m_1_2*m_3_5 + m_1_3*m_2_5",
     ]
+    w = make_permutation([4, 2, 6, 1, 5, 3])
+    c = classify_component(make_permutation([2, 1, 4, 3, 6, 5]), w)
+    assert c.ctype == "3412empty"
+    strings = equation_strings(build_slice(c, w))
+    assert strings["closed"] == [
+        "m_1_3*m_2_4 - m_1_4*m_2_3",
+        "m_3_5*m_4_6 - m_3_6*m_4_5",
+        "m_1_3*m_4_5 + m_1_4*m_3_5",
+        "m_1_3*m_4_6 + m_1_4*m_3_6",
+        "m_2_3*m_4_5 + m_2_4*m_3_5",
+        "m_2_3*m_4_6 + m_2_4*m_3_6",
+    ]
 
 
 def test_rectangle_minor_count():
+    """Every 2 x 2 minor of the rank-one grid, each once.
+
+    The grid is (l+1) x (m+1) for 4231 and 2 x (l+2) for 3412empty, whose
+    ``l`` is the aggregate l + m.
+    """
+    two_block = 0
     for n in (4, 5):
         for w, c in component_pairs(n):
             if c.ctype == "4231":
-                model = build_slice(c, w)
-                expected = (
-                    (c.l + 1) * c.l // 2 * ((c.m + 1) * c.m // 2)
-                )
-                assert len(model.closed_equations) == expected
+                expected = (c.l + 1) * c.l // 2 * ((c.m + 1) * c.m // 2)
+            elif c.ctype == "3412empty":
+                expected = (c.l + 2) * (c.l + 1) // 2
+                two_block += 1
+            else:
+                continue
+            assert len(build_slice(c, w).closed_equations) == expected
+    assert two_block > 0
 
 
 def test_structure_error_on_mislabeled_component():
@@ -127,6 +152,23 @@ def test_structure_error_on_mislabeled_component():
     wrong = RectangleComponent(v=c.v, l=1, m=1, codim=c.codim, excess=c.excess)
     with pytest.raises(SliceStructureError):
         build_slice(wrong, w)
+
+
+def test_degenerate_quadric_fails_dim():
+    """A quadric that drops a pair is degenerate: the dim check names its rank."""
+    w = make_permutation([3, 4, 1, 2])
+    c = classify_component(make_permutation([1, 3, 2, 4]), w)
+    model = build_slice(c, w)
+    truncated = model.frame._replace(pairs=model.frame.pairs[:1])
+    var_of = {cell: i for i, cell in enumerate(model.free)}
+    broken = dataclasses.replace(
+        model,
+        frame=truncated,
+        closed_equations=tuple(c.closed_equations(truncated, var_of)),
+    )
+    verdict = verify_slice(c, w, trials=3, seed=101, model=broken)
+    assert not verdict.dim_ok
+    assert "dim: quadric rank 2, expected 4" in verdict.failures
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -242,6 +284,22 @@ def test_failure_witness_prints_plain_integers(monkeypatch):
     assert not any("Fraction(" in note for note in verdict.failures)
     point = ast.literal_eval(witness[len("containment: cone point "):-len(" escapes X_w")])
     assert len(point) == 4 and all(type(x) is int for x in point)
+
+
+def test_sampler_violation_is_a_witness(monkeypatch):
+    """A cone sampler off its own equations is a slice-structure failure."""
+    monkeypatch.setattr(
+        QuadricComponent, "cone_sample", lambda self, frame, free, rng: (1,) * len(free)
+    )
+    w = make_permutation([3, 4, 1, 2])
+    c = classify_component(make_permutation([1, 3, 2, 4]), w)
+    with pytest.raises(SliceStructureError, match="violated its own equation"):
+        sample_cone(build_slice(c, w), 1, seed=101)
+    record = verify_permutation(w)
+    assert record["ok"] is False
+    witnesses = _record_failures(record)
+    assert [(x["v"], x["check"]) for x in witnesses] == [("1,3,2,4", "slice-structure")]
+    assert "violated its own equation" in witnesses[0]["detail"]
 
 
 def test_zero_assignment_vanishes_in_determinantal_model():
