@@ -13,6 +13,7 @@ from .components import (
     ClassificationError,
     Component,
     classify_component,
+    components_from_patterns,
     enumerate_components,
     verify_formulas,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "build_slice",
     "classify_component",
     "clear_kl_cache",
+    "components_from_patterns",
     "compose",
     "determinantal_model",
     "embed_point",

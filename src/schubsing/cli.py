@@ -4,8 +4,8 @@ Permutations are written in one-line notation, either comma-separated
 (``4,2,3,1``) or as a digit string when every value is below ten (``4231``).
 All output is JSON with sorted keys, so repeated runs with the same
 arguments produce byte-identical bytes.  Exit codes: 0 on success, 1 when a
-verification reports failures, a slice does not fit its family's structure,
-or a ``verify-all`` worker process dies, 2 on usage errors.
+verification reports failures, a component or its slice does not fit its
+family, or a ``verify-all`` worker process dies, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ import json
 import os
 import sys
 
-from .components import SliceStructureError, classify_component, enumerate_components
+from .components import (
+    ClassificationError,
+    SliceStructureError,
+    classify_component,
+    components_from_patterns,
+)
 from .kl import kl_recursion
 from .patterns import find_patterns
 from .perms import format_permutation, length, parse_permutation
@@ -34,6 +39,10 @@ __all__ = ["main"]
 
 # n = 8 waits on compact KL tables: its KL memo alone would need about 20 GB.
 _VERIFY_MAX_N = 7
+# Bounds the time and the output of one query: the worst w found in S_20,
+# 11..20,1..10, has 2,025 components and about 1 MB of JSON (0.55 s on a
+# quiet 2-core VM).
+_LOCUS_MAX_N = 20
 
 
 def _print(data: object, pretty: bool = True) -> None:
@@ -90,14 +99,20 @@ def cmd_tangent(args: argparse.Namespace) -> int:
 
 def cmd_singular_locus(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
+    if w.n > _LOCUS_MAX_N:
+        print(
+            f"error: singular-locus takes n <= {_LOCUS_MAX_N}, got n = {w.n}",
+            file=sys.stderr,
+        )
+        return 2
     entries = []
-    for c in enumerate_components(w):
+    for c in components_from_patterns(w):
         model = build_slice(c, w)
         entry = c.json_fields()
         entry["kl"] = list(c.kl_closed_form())
         entry["slice"] = {
             "free": [list(cell) for cell in model.free],
-            "equations": equation_strings(model)["closed"],
+            "equations": equation_strings(model, model.closed_equations),
         }
         entries.append(entry)
     _print(entries)
@@ -261,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SliceStructureError, WorkerCrashError) as exc:
+    except (ClassificationError, SliceStructureError, WorkerCrashError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

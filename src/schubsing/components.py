@@ -25,6 +25,40 @@ tell the difference (a 2 x 2 rank-one cone is the same variety as a
 3-dimensional quadric cone).  Any arithmetic that fails to come out exact
 raises :class:`ClassificationError`; the slice builder cross-checks the
 outcome structurally, so a wrong branch cannot survive the test sweeps.
+
+Two routes give the components.  :func:`enumerate_components` takes the
+Bruhat-maximal singular points from the tangent counts of the symmetric-group
+kernel and classifies each as above; it is the oracle, and the sweeps use it.
+:func:`components_from_patterns` builds them straight from w's pattern
+configurations, in polynomial time and without the group (Billey-Warrington,
+"Maximal singular loci of Schubert varieties in SL(n)/B", Trans. AMS 2003;
+Manivel, "Le lieu singulier des varietes de Schubert", IMRN 2001;
+Kassel-Lascoux-Reutenauer, "The singular locus of a Schubert variety",
+J. Algebra 2003; Cortez, "Singularites generiques et quasi-resolutions des
+varietes de Schubert pour le groupe lineaire", Adv. Math. 2003).  Write
+inside(p0, p1, v0, v1) for the points (p, w(p)) with p0 < p < p1 and
+v0 < w(p) < v1, in position order.  The maxima of a set of points are those
+with no other point later and larger, the minima those with none earlier and
+smaller; both form decreasing chains.
+
+* 4231: for i < l with w(i) > w(l), cut R = inside(i, l, w(l), w(i)) in
+  position order into a nonempty start L and end U with every value of L
+  below every value of U.  The maxima S of L and the minima T of U are two
+  decreasing chains; (l, m) are their sorted lengths.  v shifts values along
+  them: i takes the value of S[0], each S[t] that of S[t+1] and the last
+  one w(l); T[0] takes w(i), each T[t] the value of T[t-1], and l that of
+  the last one.
+* 3412: for i < j < k < l with w(k) < w(l) < w(i) < w(j), the regions
+  inside(i, j, w(l), w(i)), inside(j, k, w(k), w(l)),
+  inside(j, k, w(i), w(j)) and inside(k, l, w(l), w(i)) must be empty.  A
+  nonempty centre inside(j, k, w(l), w(i)) must be a decreasing chain with
+  both sides inside(i, j, w(k), w(l)) and inside(k, l, w(i), w(j)) empty:
+  3412* with l the chain length, and v takes w(k), w(i), w(l), w(j) at
+  i, j, k, l.  With an empty centre, S is the maxima of the left side and
+  T the minima of the right side, l = |S| + |T|, and the type is 3412empty
+  (3412* when l = 0).  v takes w(i) at j and w(l) at k, and shifts values
+  as for 4231 along i -> S, ending in w(k), and along T -> l, starting
+  from w(j).
 """
 
 from __future__ import annotations
@@ -60,6 +94,7 @@ __all__ = [
     "SliceStructureError",
     "TwoBlockComponent",
     "classify_component",
+    "components_from_patterns",
     "enumerate_components",
     "verify_formulas",
 ]
@@ -450,6 +485,133 @@ def enumerate_components(w: Permutation) -> list[Component]:
     """All classified components of Sing(X_w), sorted by one-line notation of v."""
     vs = sorted(singular_components(w), key=lambda u: u.values)
     return [classify_component(v, w) for v in vs]
+
+
+_Dot = tuple[int, int]  # a point (position, value) of w's permutation matrix
+
+
+def _maxima(dots: list[_Dot]) -> list[_Dot]:
+    """The dots with no other dot to their NE (later and larger), in position order."""
+    out: list[_Dot] = []
+    for dot in reversed(dots):
+        if not out or dot[1] > out[-1][1]:
+            out.append(dot)
+    return out[::-1]
+
+
+def _minima(dots: list[_Dot]) -> list[_Dot]:
+    """The dots with no other dot to their SW (earlier and smaller), in position order."""
+    out: list[_Dot] = []
+    for dot in dots:
+        if not out or dot[1] < out[-1][1]:
+            out.append(dot)
+    return out
+
+
+def components_from_patterns(w: Permutation) -> list[Component]:
+    """All components of Sing(X_w), read off w's 4231 and 3412 configurations.
+
+    The same list as :func:`enumerate_components`, without the symmetric
+    group: no interval, no tangent count, polynomial in n.  Each family's
+    double equalities are checked against the lengths of w and v, and a
+    failure raises :class:`ClassificationError`.
+    """
+    vals = w.values
+    n = w.n
+    lw = length(w)
+    out: list[Component] = []
+
+    def inside(p0: int, p1: int, v0: int, v1: int) -> list[_Dot]:
+        return [(p, vals[p - 1]) for p in range(p0 + 1, p1) if v0 < vals[p - 1] < v1]
+
+    def emit(family: type[Component], side_l: int, side_m: int | None, excess: int,
+             targets: list[int], images: list[int]) -> None:
+        # Position targets[t] of v carries images[t]; v agrees with w elsewhere.
+        v_vals = list(vals)
+        for p, x in zip(targets, images):
+            v_vals[p - 1] = x
+        v = Permutation(tuple(v_vals))
+        lv = length(v)
+        c = family(v=v, l=side_l, m=side_m, codim=lw - lv, excess=excess)
+        if not c.formulas_hold(lw, lv, lw + excess):
+            raise ClassificationError(
+                f"{family.ctype} configuration of {vals} gives v={v.values} "
+                f"with codimension {lw - lv}, against l={side_l}, m={side_m}"
+            )
+        out.append(c)
+
+    # 4231: w(i) > w(l), and the dots between them split into a lower-left
+    # block L and an upper-right block U.  The maxima of L and the minima of
+    # U are the two chains; v shifts the values along each of them.
+    for i in range(1, n):
+        a = vals[i - 1]
+        for l in range(i + 1, n + 1):
+            d = vals[l - 1]
+            if d > a:
+                continue
+            region = inside(i, l, d, a)
+            lower_max = 0
+            upper_min = [n + 1] * (len(region) + 1)
+            for s in range(len(region) - 1, 0, -1):
+                upper_min[s] = min(upper_min[s + 1], region[s][1])
+            for s in range(1, len(region)):
+                lower_max = max(lower_max, region[s - 1][1])
+                if lower_max > upper_min[s]:
+                    continue
+                chain_s, chain_t = _maxima(region[:s]), _minima(region[s:])
+                side_l, side_m = sorted((len(chain_s), len(chain_t)))
+                emit(
+                    RectangleComponent, side_l, side_m, side_l * side_m,
+                    [i] + [p for p, _ in chain_s] + [p for p, _ in chain_t] + [l],
+                    [x for _, x in chain_s] + [d, a] + [x for _, x in chain_t],
+                )
+
+    # 3412: (a, b, c, d) = (w(i), w(j), w(k), w(l)) with c < d < a < b.
+    for j in range(2, n - 1):
+        b = vals[j - 1]
+        for k in range(j + 1, n):
+            c = vals[k - 1]
+            if c > b:
+                continue
+            for i in range(1, j):
+                a = vals[i - 1]
+                if not c < a < b:
+                    continue
+                for l in range(k + 1, n + 1):
+                    d = vals[l - 1]
+                    if not c < d < a:
+                        continue
+                    if (inside(i, j, d, a) or inside(j, k, c, d)
+                            or inside(j, k, a, b) or inside(k, l, d, a)):
+                        continue
+                    left, right = inside(i, j, c, d), inside(k, l, a, b)
+                    centre = inside(j, k, d, a)
+                    if centre:
+                        # 3412*: a decreasing chain in the central square.
+                        if left or right or any(
+                            x < y for (_, x), (_, y) in zip(centre, centre[1:])
+                        ):
+                            continue
+                        chain_s, chain_t = [], []
+                        family: type[Component] = QuadricComponent
+                        side_l, excess = len(centre), 1
+                    else:
+                        # Empty centre: the maxima of the left side and the
+                        # minima of the right side are the two chains.
+                        chain_s, chain_t = _maxima(left), _minima(right)
+                        side_l = len(chain_s) + len(chain_t)
+                        family, excess = (
+                            (TwoBlockComponent, side_l + 1) if side_l else (QuadricComponent, 1)
+                        )
+                    emit(
+                        family, side_l, None, excess,
+                        [i] + [p for p, _ in chain_s] + [j, k]
+                        + [p for p, _ in chain_t] + [l],
+                        [x for _, x in chain_s] + [c, a, d, b]
+                        + [x for _, x in chain_t],
+                    )
+    out.sort(key=lambda comp: comp.v.values)
+    return out
 
 
 def verify_formulas(c: Component, w: Permutation) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -98,8 +99,12 @@ class SliceModel:
     component: Component | None
     free: tuple[Cell, ...]
     closed_equations: tuple[Poly, ...]
-    determinantal_equations: tuple[Poly, ...]
     frame: tuple | None
+
+    @cached_property
+    def determinantal_equations(self) -> tuple[Poly, ...]:
+        """The determinantal model of (v, w), built on first read."""
+        return tuple(determinantal_model(self.v, self.w))
 
 
 @dataclass(frozen=True)
@@ -144,15 +149,21 @@ def free_coordinates(v: Permutation, w: Permutation) -> list[Cell]:
     particular the list is empty when v = w.
     """
     region = rank_excess_region(v, w)
+    n = v.n
+    # below[p][q] = #{region cells (p', q') : p' < p, q' < q}, so each test
+    # rectangle is counted in O(1) by inclusion-exclusion.
+    below = [[0] * (n + 1)]
+    for p in range(n):
+        above, row = below[p], [0]
+        for q in range(n):
+            row.append(row[q] + above[q + 1] - above[q] + ((p, q) in region))
+        below.append(row)
     vinv = inverse(v)
     out = []
     for j, k in mv_support(v):
-        rect = (
-            (p, q)
-            for p in range(j, vinv(k))
-            for q in range(v(j), k)
-        )
-        if all(cell in region for cell in rect):
+        p1, q0 = vinv(k), v(j)
+        inside = below[p1][k] - below[j][k] - below[p1][q0] + below[j][q0]
+        if inside == (p1 - j) * (k - q0):
             out.append((j, k))
     return out
 
@@ -208,7 +219,10 @@ def _collect_minors(entry, p: int, q: int, n: int, size: int, seen, eqs) -> None
 
 
 def build_slice(c: Component, w: Permutation) -> SliceModel:
-    """Free coordinates plus both equation models for a classified component."""
+    """Free coordinates plus both equation models for a classified component.
+
+    The determinantal model is built when it is first read.
+    """
     v = c.v
     free = free_coordinates(v, w)
     if not free:
@@ -223,14 +237,15 @@ def build_slice(c: Component, w: Permutation) -> SliceModel:
         component=c,
         free=tuple(free),
         closed_equations=tuple(c.closed_equations(frame, var_of)),
-        determinantal_equations=tuple(determinantal_model(v, w)),
         frame=frame,
     )
 
 
 def trivial_slice(v: Permutation) -> SliceModel:
     """The slice of the pair (v, v): a point, no coordinates, no equations."""
-    return SliceModel(v, v, None, (), (), (), None)
+    model = SliceModel(v, v, None, (), (), None)
+    model.determinantal_equations = ()  # fills the cache: no minors to compute
+    return model
 
 
 def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
@@ -388,14 +403,10 @@ def verify_slice(
     )
 
 
-def equation_strings(s: SliceModel) -> dict[str, list[str]]:
+def equation_strings(s: SliceModel, equations: Sequence[Poly]) -> list[str]:
+    """Equations over the slice's free coordinates, named ``m_j_k``."""
     names = {i: f"m_{j}_{k}" for i, (j, k) in enumerate(s.free)}
-    return {
-        "closed": [poly_to_string(eq, names) for eq in s.closed_equations],
-        "determinantal": [
-            poly_to_string(eq, names) for eq in s.determinantal_equations
-        ],
-    }
+    return [poly_to_string(eq, names) for eq in equations]
 
 
 def _verdict_dict(verdict: SliceVerdict) -> dict:
@@ -431,14 +442,14 @@ def slice_report(
             component=None,
             free=tuple(free_coordinates(v, w)),
             closed_equations=(),
-            determinantal_equations=tuple(determinantal_model(v, w)),
             frame=None,
         )
-    strings = equation_strings(model)
     return {
         "free": [list(cell) for cell in model.free],
         "type": None if model.component is None else model.component.ctype,
-        "equations": strings["closed"],
-        "determinantal_equations": strings["determinantal"],
+        "equations": equation_strings(model, model.closed_equations),
+        "determinantal_equations": equation_strings(
+            model, model.determinantal_equations
+        ),
         "verdict": None if verdict is None else _verdict_dict(verdict),
     }

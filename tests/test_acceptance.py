@@ -3,7 +3,8 @@
 Each test prints a single summary line (visible even under output capture)
 and then asserts.  Criteria 1-5 sweep every permutation of S_n for n up to
 6; criterion 8 extends the sweep to S_7 and runs only when the environment
-variable SCHUBSING_N7 is set (minutes of single-core runtime).
+variable SCHUBSING_N7 is set (minutes of single-core runtime), and also
+compares the pattern route of ``singular-locus`` with the kernel route there.
 """
 
 import itertools
@@ -13,7 +14,12 @@ from math import comb
 
 import pytest
 
-from schubsing.components import classify_component, verify_formulas
+from schubsing.components import (
+    classify_component,
+    components_from_patterns,
+    enumerate_components,
+    verify_formulas,
+)
 from schubsing.kl import kl_recursion
 from schubsing.patterns import is_smooth
 from schubsing.perms import Permutation, length, make_permutation
@@ -264,18 +270,27 @@ def test_criterion_8_extended_sweep(capsys):
     start = time.perf_counter()
     jobs = int(os.environ.get("SCHUBSING_JOBS", "1"))
     report = verify_all(7, trials=50, seed=DEFAULT_SEED, jobs=jobs)
+    # The pattern route of singular-locus against the kernel route, per w.
+    route_mismatches = []
+    for values in itertools.permutations(range(1, 8)):
+        w = Permutation(values)
+        fast = [c.json_fields() for c in components_from_patterns(w)]
+        if fast != [c.json_fields() for c in enumerate_components(w)]:
+            route_mismatches.append(values)
     elapsed = time.perf_counter() - start
     summary = report["summary"]
-    ok = report["ok"]
+    ok = report["ok"] and not route_mismatches
     _report(
         capsys,
         8,
         ok,
         f"extended S_7 sweep: {summary['permutations_checked']} permutations, "
         f"{summary['component_pairs']} component pairs, "
-        f"{report['failures']} failures, {elapsed / 60:.1f} min",
+        f"{report['failures']} failures, "
+        f"{len(route_mismatches)} pattern-route mismatches, {elapsed / 60:.1f} min",
     )
-    assert ok, report["failure_witnesses"][:5]
+    assert report["ok"], report["failure_witnesses"][:5]
+    assert not route_mismatches, route_mismatches[:5]
     assert summary["permutations_checked"] == 5040
     assert summary["smooth_count"] == haiman_smooth_counts(7)[7] == 1552
     assert summary["component_pairs"] == 8426

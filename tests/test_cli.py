@@ -12,7 +12,7 @@ import pytest
 import schubsing.slices
 import schubsing.sweep
 from schubsing.cli import main
-from schubsing.components import QuadricComponent
+from schubsing.components import ClassificationError, QuadricComponent
 from schubsing.slices import SliceVerdict
 
 
@@ -199,6 +199,30 @@ def test_slice_structure_error_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_singular_locus_n_cap(capsys, monkeypatch):
+    n21 = ",".join(str(x) for x in range(1, 22))
+    n20 = ",".join(str(x) for x in range(20, 0, -1))
+    assert run_cli(capsys, "singular-locus", n20) == (0, "[]\n", "")
+
+    def no_work(w):
+        raise AssertionError("the locus was computed")
+
+    monkeypatch.setattr("schubsing.cli.components_from_patterns", no_work)
+    code, out, err = run_cli(capsys, "singular-locus", n21)
+    assert (code, out) == (2, "")
+    assert err == "error: singular-locus takes n <= 20, got n = 21\n"
+
+
+def test_classification_error_exits_1(capsys, monkeypatch):
+    def misfit(w):
+        raise ClassificationError("4231 configuration does not fit")
+
+    monkeypatch.setattr("schubsing.cli.components_from_patterns", misfit)
+    code, out, err = run_cli(capsys, "singular-locus", "4231")
+    assert (code, out) == (1, "")
+    assert err == "error: 4231 configuration does not fit\n"
+
+
 def test_verify_all_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify-all", "--n", "3")
     _, second, _ = run_cli(capsys, "verify-all", "--n", "3")
@@ -249,7 +273,7 @@ DYING_WORKER = """
 import os, sys
 import schubsing.sweep
 from schubsing.cli import main
-from schubsing.components import QuadricComponent
+from schubsing.components import ClassificationError, QuadricComponent
 
 parent = os.getpid()
 real = schubsing.sweep.verify_permutation
@@ -304,3 +328,24 @@ def test_sweep_loads_no_rational_arithmetic():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
     assert proc.stderr.strip() == "False"
+
+
+def test_singular_locus_builds_no_group():
+    # n = 9 used to take seconds for S_9's tables; the pattern route builds
+    # no symmetric group and no determinantal model.
+    proc = _run_script(
+        "import json, sys\n"
+        "import schubsing.slices, schubsing.symgroup\n"
+        "from schubsing.cli import main\n"
+        "calls = []\n"
+        "real = schubsing.slices.determinantal_model\n"
+        "def counted(*args):\n"
+        "    calls.append(args)\n"
+        "    return real(*args)\n"
+        "schubsing.slices.determinantal_model = counted\n"
+        "code = main(['singular-locus', '3,6,8,1,9,4,7,2,5'])\n"
+        "print(json.dumps([code, len(schubsing.symgroup._groups), len(calls)]), file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)) == 10
+    assert json.loads(proc.stderr) == [0, 0, 0]

@@ -1,5 +1,7 @@
 """Tests for singular-locus component classification."""
 
+import itertools
+import random
 from array import array
 
 import pytest
@@ -9,11 +11,16 @@ from schubsing.components import (
     TYPE_3412_STAR,
     TYPE_4231,
     ClassificationError,
+    QuadricComponent,
+    RectangleComponent,
+    TwoBlockComponent,
     classify_component,
+    components_from_patterns,
     enumerate_components,
     verify_formulas,
 )
-from schubsing.perms import identity, length, make_permutation
+from schubsing.perms import Permutation, bruhat_leq, identity, length, make_permutation
+from schubsing.slices import free_coordinates
 from schubsing.sweep import component_pairs
 from schubsing.symgroup import SymmetricGroup
 from schubsing.tangent import tangent_dimension
@@ -130,3 +137,63 @@ def test_s5_component_census():
     for _, c in component_pairs(5):
         counts[c.ctype] = counts.get(c.ctype, 0) + 1
     assert counts == {TYPE_4231: 20, TYPE_3412_STAR: 19, TYPE_3412_EMPTY: 2}
+
+
+# ---------------------------------------------------------------------------
+# the pattern route against the tangent-kernel route
+
+
+def _assert_routes_agree(w):
+    fast = [c.json_fields() for c in components_from_patterns(w)]
+    slow = [c.json_fields() for c in enumerate_components(w)]
+    assert fast == slow, w.values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_pattern_route_matches_kernel_route(n):
+    for values in itertools.permutations(range(1, n + 1)):
+        _assert_routes_agree(Permutation(values))
+
+
+def test_pattern_route_matches_kernel_route_s8_sample():
+    perms = random.Random(8).sample(list(itertools.permutations(range(1, 9))), 40)
+    for values in perms:
+        _assert_routes_agree(Permutation(values))
+
+
+def test_pattern_route_at_n12():
+    """Beyond the symmetric-group kernel: each v is a component-shaped point.
+
+    Every v lies below w, has the reported tangent excess by the slow
+    transposition count, fits its family's slice frame, and no v lies below
+    another.
+    """
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(10):
+        values = list(range(1, 13))
+        rng.shuffle(values)
+        w = Permutation(tuple(values))
+        comps = components_from_patterns(w)
+        for c in comps:
+            seen.add(c.ctype)
+            assert bruhat_leq(c.v, w)
+            assert tangent_dimension(c.v, w).excess == c.excess
+            c.fit_frame(free_coordinates(c.v, w))
+        for first, second in itertools.permutations(comps, 2):
+            assert not bruhat_leq(first.v, second.v), (w.values, first.v, second.v)
+    assert seen == {TYPE_4231, TYPE_3412_STAR, TYPE_3412_EMPTY}
+
+
+@pytest.mark.parametrize(
+    ("family", "w"),
+    [
+        (RectangleComponent, (4, 2, 3, 1)),
+        (QuadricComponent, (3, 4, 1, 2)),
+        (TwoBlockComponent, (3, 5, 1, 4, 2)),
+    ],
+)
+def test_pattern_route_checks_the_lengths(monkeypatch, family, w):
+    monkeypatch.setattr(family, "formulas_hold", lambda self, lw, lv, dim: False)
+    with pytest.raises(ClassificationError):
+        components_from_patterns(Permutation(w))

@@ -18,9 +18,9 @@ from schubsing.components import QuadricComponent
 from schubsing.linalg import matrix_rank
 from schubsing.perms import rank_table
 from schubsing.slices import (
-    SliceModel,
     _rng,
     _sample_off_cone,
+    build_slice,
     embed_point,
     free_coordinates,
     in_schubert,
@@ -99,15 +99,6 @@ def reference_quadric_sample(frame, free, rng):
     return tuple(values[cell] for cell in free)
 
 
-def _closed_model(w, c):
-    """The slice model without its determinantal equations, which go unused here."""
-    free = free_coordinates(c.v, w)
-    frame = c.fit_frame(free)
-    var_of = {cell: i for i, cell in enumerate(free)}
-    closed = tuple(c.closed_equations(frame, var_of))
-    return SliceModel(c.v, w, c, tuple(free), closed, (), frame)
-
-
 @pytest.fixture(scope="module")
 def small_pairs():
     """Every component pair of S_2 .. S_6."""
@@ -119,7 +110,7 @@ def small_pairs():
 def test_membership_matches_fraction_reference(small_pairs):
     cone_points = off_points = 0
     for w, c in small_pairs:
-        model = _closed_model(w, c)
+        model = build_slice(c, w)  # its determinantal model is never read here
         cone = sample_cone(model, TRIALS, SEED)
         if isinstance(c, QuadricComponent):
             rng = _rng(SEED, "cone", c.v, w)

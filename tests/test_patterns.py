@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from schubsing.patterns import PATTERN_3412, PATTERN_4231, find_patterns, is_smooth
+from schubsing.patterns import PATTERN_3412, PATTERN_4231, _scan, find_patterns, is_smooth
 from schubsing.perms import (
     Permutation,
     compose,
@@ -88,3 +88,22 @@ def test_smoothness_symmetries(n):
         expected = is_smooth(w)
         assert is_smooth(inverse(w)) == expected
         assert is_smooth(compose(w0, compose(w, w0))) == expected
+
+
+def test_is_smooth_matches_quadruple_scan():
+    """The O(n^2) middle-pair test against the O(n^4) scan on all of S_1 .. S_8."""
+    for n in range(1, 9):
+        for values in itertools.permutations(range(1, n + 1)):
+            w = Permutation(values)
+            assert is_smooth(w) == (next(_scan(w), None) is None), values
+
+
+def test_is_smooth_scales_to_long_words():
+    # The quadruple scan would test C(500, 4) ~ 2.6e9 quadruples here.
+    n = 500
+    assert is_smooth(identity(n))
+    assert is_smooth(longest_element(n))
+    tail = tuple(range(1, n - 3)) + (n - 1, n, n - 3, n - 2)
+    assert not is_smooth(Permutation(tail))
+    tail = tuple(range(1, n - 3)) + (n, n - 2, n - 1, n - 3)
+    assert not is_smooth(Permutation(tail))

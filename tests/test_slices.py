@@ -14,8 +14,10 @@ from schubsing.linalg import poly_eval
 from schubsing.perms import (
     Permutation,
     bruhat_leq,
+    inverse,
     length,
     make_permutation,
+    rank_excess_region,
 )
 from schubsing.slices import (
     SliceStructureError,
@@ -32,6 +34,7 @@ from schubsing.slices import (
     verify_slice,
 )
 from schubsing.sweep import _record_failures, component_pairs, verify_permutation
+from schubsing.symgroup import symmetric_group
 from schubsing.tangent import tangent_dimension
 
 
@@ -68,6 +71,30 @@ def test_mv_support_shape():
     assert mv_support(v) == [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
 
 
+def reference_free_coordinates(v, w):
+    """Chart positions whose test rectangle lies in the excess region, cell by cell."""
+    region = rank_excess_region(v, w)
+    vinv = inverse(v)
+    return [
+        (j, k)
+        for j, k in mv_support(v)
+        if all((p, q) in region for p in range(j, vinv(k)) for q in range(v(j), k))
+    ]
+
+
+def test_free_coordinates_match_cell_by_cell_reference():
+    """The prefix-sum rectangle test against the cell scan, on every v <= w of S_5."""
+    group = symmetric_group(5)
+    pairs = 0
+    for wi, w_values in enumerate(group.perms):
+        w = Permutation(w_values)
+        for vi in group.interval(wi):
+            v = group.perm(vi)
+            assert free_coordinates(v, w) == reference_free_coordinates(v, w)
+            pairs += 1
+    assert pairs == 3781
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_free_count_equals_tangent_excess_over_cell(n):
     for w, c in component_pairs(n):
@@ -83,17 +110,17 @@ def test_4231_slice_is_one_minor():
     w = make_permutation([4, 2, 3, 1])
     c = classify_component(make_permutation([2, 1, 4, 3]), w)
     model = build_slice(c, w)
-    strings = equation_strings(model)
-    assert strings["closed"] == ["m_1_3*m_2_4 - m_1_4*m_2_3"]
-    assert strings["determinantal"] == ["m_1_3*m_2_4 - m_1_4*m_2_3"]
+    assert equation_strings(model, model.closed_equations) == ["m_1_3*m_2_4 - m_1_4*m_2_3"]
+    assert equation_strings(model, model.determinantal_equations) == [
+        "m_1_3*m_2_4 - m_1_4*m_2_3"
+    ]
 
 
 def test_3412_slice_is_one_quadric():
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
     model = build_slice(c, w)
-    strings = equation_strings(model)
-    assert strings["closed"] == ["m_1_2*m_3_4 + m_1_3*m_2_4"]
+    assert equation_strings(model, model.closed_equations) == ["m_1_2*m_3_4 + m_1_3*m_2_4"]
     assert model.frame.pairs == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
 
 
@@ -106,8 +133,7 @@ def test_case3_slice_equations():
     c = classify_component(make_permutation([1, 3, 2, 5, 4]), w)
     model = build_slice(c, w)
     assert model.free == ((1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5))
-    strings = equation_strings(model)
-    assert strings["closed"] == [
+    assert equation_strings(model, model.closed_equations) == [
         "m_2_4*m_3_5 - m_2_5*m_3_4",
         "m_1_2*m_3_4 + m_1_3*m_2_4",
         "m_1_2*m_3_5 + m_1_3*m_2_5",
@@ -115,8 +141,8 @@ def test_case3_slice_equations():
     w = make_permutation([4, 2, 6, 1, 5, 3])
     c = classify_component(make_permutation([2, 1, 4, 3, 6, 5]), w)
     assert c.ctype == "3412empty"
-    strings = equation_strings(build_slice(c, w))
-    assert strings["closed"] == [
+    model = build_slice(c, w)
+    assert equation_strings(model, model.closed_equations) == [
         "m_1_3*m_2_4 - m_1_4*m_2_3",
         "m_3_5*m_4_6 - m_3_6*m_4_5",
         "m_1_3*m_4_5 + m_1_4*m_3_5",
