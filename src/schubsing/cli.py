@@ -37,7 +37,9 @@ from .tangent import singular_components, tangent_dimension
 
 __all__ = ["main"]
 
-# n = 8 waits on compact KL tables: its KL memo alone would need about 20 GB.
+# n = 8 waits on one recorded S_8 run (ROADMAP item 4).  The compact KL memo
+# should fit: the serial S_7 sweep peaks at about 58 MB, and the S_8 memo
+# holds 170,288,585 entries at 3 bytes each, about 0.5 GB.
 _VERIFY_MAX_N = 7
 # Bounds the time and the output of one query: the worst w found in S_20,
 # 11..20,1..10, has 2,025 components and about 1 MB of JSON (0.55 s on a
@@ -161,7 +163,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= _VERIFY_MAX_N:
         print(
             f"error: --n must be between 2 and {_VERIFY_MAX_N}"
-            " (n = 8 waits on compact KL tables)",
+            " (n = 8 waits on one recorded S_8 run)",
             file=sys.stderr,
         )
         return 2

@@ -17,14 +17,21 @@ Two independent routes, kept strictly apart so they can check each other:
   where mu(z, y) is the coefficient of q^((len(y)-len(z)-1)/2) in P(z, y).
 
 Polynomials are dense tuples of nonnegative integer coefficients, constant
-term first.  Tables are memoized per w over the whole lower interval; the
-memo is module-level and lock-guarded, so concurrent sweeps either share it
+term first.  Each distinct polynomial is interned once in a process-wide
+list (all of S_7 has only 98 of them), and the table of w is stored compactly
+as two parallel arrays: the lower interval of w (group indices ascending,
+two bytes each for n <= 8) and one polynomial id per interval element (one
+byte while at most 256 polynomials are interned, wider beyond).  A pair
+(v, w) is looked up by binary search for v in the interval of w.  The memo
+is module-level and lock-guarded, so concurrent sweeps either share it
 safely or (as the multiprocessing sweep does) keep one per worker process.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 
 from .perms import Permutation, bruhat_leq
 from .symgroup import SymmetricGroup, symmetric_group
@@ -33,8 +40,17 @@ __all__ = ["KLPoly", "kl_recursion", "clear_kl_cache"]
 
 KLPoly = tuple[int, ...]
 
-_tables: dict[tuple[int, int], dict[int, KLPoly]] = {}
-_mu_supports: dict[tuple[int, int], dict[int, int]] = {}
+# A table holds ids in one byte each while at most this many polynomials are
+# interned; past that, newly built tables use four-byte ids.
+_BYTE_IDS = 256
+
+# The interned polynomials, never shrunk: ids stay valid for the whole process.
+_polys: list[KLPoly] = []
+_poly_ids: dict[KLPoly, int] = {}
+# (n, w index) -> (interval of w, polynomial id per interval element).
+_tables: dict[tuple[int, int], tuple[array, array]] = {}
+# (n, y index) -> (every z < y with mu(z, y) != 0, ascending; mu(z, y) per z).
+_mu_supports: dict[tuple[int, int], tuple[array, array]] = {}
 _lock = threading.RLock()
 
 
@@ -45,15 +61,40 @@ def kl_recursion(v: Permutation, w: Permutation) -> KLPoly:
             f"{v.values} is not Bruhat-below {w.values}; P(v, w) would be zero"
         )
     group = symmetric_group(w.n)
-    table = _kl_table(group, group.index_of(w.values))
-    return table[group.index_of(v.values)]
+    interval, ids = _kl_table(group, group.index_of(w.values))
+    return _polys[ids[bisect_left(interval, group.index_of(v.values))]]
 
 
 def clear_kl_cache() -> None:
-    """Drop all memoized tables (mainly for tests and worker hygiene)."""
+    """Drop all memoized tables (mainly for tests and worker hygiene).
+
+    The interned polynomials stay, so a table another thread still holds
+    keeps reading the right ones.
+    """
     with _lock:
         _tables.clear()
         _mu_supports.clear()
+
+
+def _intern(poly: KLPoly) -> int:
+    pid = _poly_ids.get(poly)
+    if pid is None:
+        with _lock:
+            pid = _poly_ids.get(poly)
+            if pid is None:
+                pid = len(_polys)
+                _polys.append(poly)
+                _poly_ids[poly] = pid
+    return pid
+
+
+def _lookup(table: tuple[array, array], vi: int) -> KLPoly:
+    """P(v, w) from the table of w, or () (the zero polynomial) if v is not <= w."""
+    interval, ids = table
+    k = bisect_left(interval, vi)
+    if k < len(interval) and interval[k] == vi:
+        return _polys[ids[k]]
+    return ()
 
 
 def _strip(coeffs: list[int]) -> KLPoly:
@@ -82,73 +123,76 @@ def _smallest_left_descent(values: tuple[int, ...]) -> int:
     return 0
 
 
-def _swap_values(values: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """Left multiplication by the adjacent transposition (a, a+1)."""
-    return tuple(
-        a + 1 if x == a else a if x == a + 1 else x for x in values
-    )
-
-
-def _mu_support(group: SymmetricGroup, yi: int) -> dict[int, int]:
-    """All z < y with mu(z, y) nonzero, from the memoized table of y."""
+def _mu_support(group: SymmetricGroup, yi: int) -> tuple[array, array]:
+    """All z < y with mu(z, y) nonzero, ascending, and their mu values."""
     key = (group.n, yi)
     with _lock:
         cached = _mu_supports.get(key)
         if cached is not None:
             return cached
-    table = _kl_table(group, yi)
-    ly = group.lengths[yi]
-    support: dict[int, int] = {}
-    for zi, poly in table.items():
-        gap = ly - group.lengths[zi]
-        if gap % 2 == 1 and len(poly) == (gap - 1) // 2 + 1:
-            support[zi] = poly[-1]
+    interval, ids = _kl_table(group, yi)
+    lengths = group.lengths
+    ly = lengths[yi]
+    zs, mus = array(interval.typecode), array("i")
+    for zi, pid in zip(interval, ids):
+        gap = ly - lengths[zi]
+        if gap % 2 == 1:
+            poly = _polys[pid]
+            if len(poly) == (gap - 1) // 2 + 1:
+                zs.append(zi)
+                mus.append(poly[-1])
+    support = (zs, mus)
     with _lock:
         _mu_supports[key] = support
     return support
 
 
-def _kl_table(group: SymmetricGroup, wi: int) -> dict[int, KLPoly]:
-    """P(v, w) for every v <= w, keyed by group index of v."""
+def _kl_table(group: SymmetricGroup, wi: int) -> tuple[array, array]:
+    """The interval of w and, parallel to it, the id of P(v, w) for each v."""
     key = (group.n, wi)
     with _lock:
         cached = _tables.get(key)
         if cached is not None:
             return cached
 
-    w = group.perms[wi]
-    a = _smallest_left_descent(w)
+    # Two bytes per index up to S_8 (8! = 40,320); S_9 needs four.
+    interval = array("H" if len(group.perms) <= 1 << 16 else "i", group.interval(wi))
+    a = _smallest_left_descent(group.perms[wi])
     if a == 0:
-        table = {wi: (1,)}
-        with _lock:
-            _tables[key] = table
-        return table
+        return _store(key, interval, [_intern((1,))])
 
-    swi = group.index_of(_swap_values(w, a))
+    # s.v for s = s_a sits in column a - 1 of the left-multiplication table.
+    lmul, stride, col = group.lmul, group.n - 1, a - 1
+    swi = lmul[wi * stride + col]
     sub = _kl_table(group, swi)
     lengths = group.lengths
     lw = lengths[wi]
     # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
     mus = [
-        (zi, mu, group.lower_mask(zi))
-        for zi, mu in sorted(_mu_support(group, swi).items())
-        if lengths[group.index_of(_swap_values(group.perms[zi], a))] < lengths[zi]
+        (zi, mu, group.lower_mask(zi), _kl_table(group, zi))
+        for zi, mu in zip(*_mu_support(group, swi))
+        if lengths[lmul[zi * stride + col]] < lengths[zi]
     ]
 
-    table = {}
-    for vi in group.interval(wi):
-        svi = group.index_of(_swap_values(group.perms[vi], a))
+    ids = []
+    for vi in interval:
+        svi = lmul[vi * stride + col]
         c = 1 if lengths[svi] < lengths[vi] else 0
         acc: list[int] = []
-        _add_shifted(acc, sub.get(svi, ()), 1 - c)
-        _add_shifted(acc, sub.get(vi, ()), c)
-        for zi, mu, below_z in mus:
+        _add_shifted(acc, _lookup(sub, svi), 1 - c)
+        _add_shifted(acc, _lookup(sub, vi), c)
+        for zi, mu, below_z, ztable in mus:
             if not below_z[vi]:
                 continue
-            pvz = _kl_table(group, zi)[vi] if zi != vi else (1,)
+            pvz = _lookup(ztable, vi) if zi != vi else (1,)
             _add_shifted(acc, pvz, (lw - lengths[zi]) // 2, -mu)
-        table[vi] = _strip(acc)
+        ids.append(_intern(_strip(acc)))
+    return _store(key, interval, ids)
 
+
+def _store(key: tuple[int, int], interval: array, ids: list[int]) -> tuple[array, array]:
+    """Memoize a table, its ids in one byte each while every interned id fits."""
+    table = (interval, array("B" if len(_polys) <= _BYTE_IDS else "i", ids))
     with _lock:
         _tables[key] = table
     return table

@@ -44,7 +44,6 @@ from .perms import (
     bruhat_leq,
     format_permutation,
     inverse,
-    rank_excess_region,
     rank_table,
 )
 from .tangent import singular_components
@@ -148,15 +147,18 @@ def free_coordinates(v: Permutation, w: Permutation) -> list[Cell]:
     [j, v_inv(k)) x [v(j), k) is in the excess region of (v, w); in
     particular the list is empty when v = w.
     """
-    region = rank_excess_region(v, w)
+    if v.n != w.n:
+        raise ValueError(f"size mismatch: {v.n} vs {w.n}")
     n = v.n
-    # below[p][q] = #{region cells (p', q') : p' < p, q' < q}, so each test
-    # rectangle is counted in O(1) by inclusion-exclusion.
+    rv, rw = rank_table(v), rank_table(w)
+    # below[p][q] = #{excess cells (p', q') : p' < p, q' < q}, so each test
+    # rectangle is counted in O(1) by inclusion-exclusion.  A cell is in the
+    # excess region iff r_v > r_w there (never on row or column 0).
     below = [[0] * (n + 1)]
     for p in range(n):
-        above, row = below[p], [0]
+        above, rvp, rwp, row = below[p], rv[p], rw[p], [0]
         for q in range(n):
-            row.append(row[q] + above[q + 1] - above[q] + ((p, q) in region))
+            row.append(row[q] + above[q + 1] - above[q] + (rvp[q] > rwp[q]))
         below.append(row)
     vinv = inverse(v)
     out = []
@@ -192,6 +194,7 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
         return poly_var(var) if var is not None else {}
 
     rw = rank_table(w)
+    expanded: set[tuple] = set()
     seen: set[tuple] = set()
     eqs: list[Poly] = []
     for p in range(1, n + 1):
@@ -200,14 +203,25 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
             size = bound + 1
             if size > min(p, n - q):
                 continue
-            _collect_minors(entry, p, q, n, size, seen, eqs)
+            _collect_minors(entry, p, q, n, size, expanded, seen, eqs)
     eqs.sort(key=poly_canonical)
     return eqs
 
 
-def _collect_minors(entry, p: int, q: int, n: int, size: int, seen, eqs) -> None:
+def _collect_minors(
+    entry, p: int, q: int, n: int, size: int, expanded, seen, eqs
+) -> None:
+    """Add the new size x size minors of rows 1..p against columns q+1..n.
+
+    A (rows, columns) selection that an earlier cell already expanded is
+    skipped before its determinant is computed; ``seen`` then drops
+    distinct selections whose minors coincide.
+    """
     for rowsel in combinations(range(1, p + 1), size):
         for colsel in combinations(range(q + 1, n + 1), size):
+            if (rowsel, colsel) in expanded:
+                continue
+            expanded.add((rowsel, colsel))
             det = sym_det([[entry(j, k) for k in colsel] for j in rowsel])
             det.pop((), None)  # constant terms vanish identically here
             if not det:

@@ -8,6 +8,7 @@ once per process:
 * their flattened rank tables (one byte per entry),
 * their Coxeter lengths,
 * the index of v.t for every permutation v and transposition t,
+* on first use, the index of s_a.v for every v and simple reflection s_a,
 * one bitset per interior cell (p, q) and threshold k: bit v is set iff
   r_v(p, q) >= k.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import OrderedDict
+from functools import cached_property
 from itertools import permutations as _lex_permutations
 from typing import Sequence
 
@@ -102,6 +104,29 @@ class SymmetricGroup:
                 lp[i], lp[j] = lp[j], lp[i]
                 out[pos] = index[tuple(lp)]
                 lp[i], lp[j] = lp[j], lp[i]
+                pos += 1
+        return out
+
+    @cached_property
+    def lmul(self) -> array:
+        """Left multiplication: ``lmul[v * (n - 1) + a - 1]`` is the index of s_a.v.
+
+        s_a.v swaps the values a and a + 1 in one-line notation, which is
+        v.t for the transposition t of their two positions, so each entry is
+        read off ``tprod``.  Built on first use: only the KL recursion needs it.
+        """
+        n, ntrans, tprod = self.n, self.ntrans, self.tprod
+        column = {t: c for c, t in enumerate(self.transpositions)}
+        out = array("i", [0]) * (len(self.perms) * (n - 1))
+        pos = 0
+        where = [0] * (n + 1)
+        for vi, p in enumerate(self.perms):
+            for i, x in enumerate(p):
+                where[x] = i
+            base = vi * ntrans
+            for a in range(1, n):
+                i, j = where[a], where[a + 1]
+                out[pos] = tprod[base + column[(i, j) if i < j else (j, i)]]
                 pos += 1
         return out
 

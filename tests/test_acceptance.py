@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from schubsing import kl
 from schubsing.components import (
     classify_component,
     components_from_patterns,
@@ -277,6 +278,11 @@ def test_criterion_8_extended_sweep(capsys):
         fast = [c.json_fields() for c in components_from_patterns(w)]
         if fast != [c.json_fields() for c in enumerate_components(w)]:
             route_mismatches.append(values)
+    # Every table of S_7, built in this process: 98 distinct polynomials.
+    group = symmetric_group(7)
+    polys = {
+        kl._polys[i] for wi in range(len(group.perms)) for i in kl._kl_table(group, wi)[1]
+    }
     elapsed = time.perf_counter() - start
     summary = report["summary"]
     ok = report["ok"] and not route_mismatches
@@ -287,7 +293,8 @@ def test_criterion_8_extended_sweep(capsys):
         f"extended S_7 sweep: {summary['permutations_checked']} permutations, "
         f"{summary['component_pairs']} component pairs, "
         f"{report['failures']} failures, "
-        f"{len(route_mismatches)} pattern-route mismatches, {elapsed / 60:.1f} min",
+        f"{len(route_mismatches)} pattern-route mismatches, "
+        f"{len(polys)} distinct KL polynomials, {elapsed / 60:.1f} min",
     )
     assert report["ok"], report["failure_witnesses"][:5]
     assert not route_mismatches, route_mismatches[:5]
@@ -295,3 +302,4 @@ def test_criterion_8_extended_sweep(capsys):
     assert summary["smooth_count"] == haiman_smooth_counts(7)[7] == 1552
     assert summary["component_pairs"] == 8426
     assert summary["components_by_type"] == {"3412*": 3450, "3412empty": 988, "4231": 3988}
+    assert len(polys) == 98

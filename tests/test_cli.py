@@ -161,7 +161,7 @@ def test_verify_all_n_guard(capsys, monkeypatch):
     assert run_cli(capsys, "verify-all", "--n", "9")[0] == 2
     code, out, err = run_cli(capsys, "verify-all", "--n", "8")
     assert (code, out) == (2, "")
-    assert "between 2 and 7" in err and "compact KL tables" in err
+    assert "between 2 and 7" in err and "one recorded S_8 run" in err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 
 import schubsing.slices
 from schubsing.components import QuadricComponent, RectangleComponent, classify_component
-from schubsing.linalg import poly_eval
+from schubsing.linalg import poly_canonical, poly_eval, poly_var, sym_det
 from schubsing.perms import (
     Permutation,
     bruhat_leq,
@@ -18,6 +18,7 @@ from schubsing.perms import (
     length,
     make_permutation,
     rank_excess_region,
+    rank_table,
 )
 from schubsing.slices import (
     SliceStructureError,
@@ -334,6 +335,56 @@ def test_zero_assignment_vanishes_in_determinantal_model():
     zero = (Fraction(0),) * 4
     for eq in determinantal_model(v, w):
         assert poly_eval(eq, zero) == 0
+
+
+def test_determinantal_model_expands_each_selection_once(monkeypatch):
+    """One S_6 pair whose cells share 60 of their 127 minor selections.
+
+    Every selection reaches ``sym_det`` once, and the equations equal those
+    of expanding every cell's minors in full and deduplicating afterwards.
+    """
+    v = make_permutation([1, 2, 4, 3, 5, 6])
+    w = make_permutation([1, 4, 5, 2, 3, 6])
+    n, rw = w.n, rank_table(w)
+    free = free_coordinates(v, w)
+
+    def entry(j, k):
+        if k == v(j):
+            return {(): 1}
+        return poly_var(free.index((j, k))) if (j, k) in free else {}
+
+    selections = []
+    for p in range(1, n + 1):
+        for q in range(1, n):
+            size = p - rw[p][q] + 1
+            if size <= min(p, n - q):
+                selections += itertools.product(
+                    itertools.combinations(range(1, p + 1), size),
+                    itertools.combinations(range(q + 1, n + 1), size),
+                )
+    assert (len(selections), len(set(selections))) == (127, 67)
+    canons = set()
+    for rows, cols in selections:
+        det = sym_det([[entry(j, k) for k in cols] for j in rows])
+        det.pop((), None)
+        if det:
+            canons.add(poly_canonical(det))
+    expected = [dict(canon) for canon in sorted(canons)]
+
+    matrices = []
+
+    def counting_det(matrix):
+        matrices.append(matrix)
+        return sym_det(matrix)
+
+    monkeypatch.setattr(schubsing.slices, "sym_det", counting_det)
+    eqs = determinantal_model(v, w)
+    assert len(matrices) == 67
+    assert eqs == expected
+    c = classify_component(v, w)
+    model = build_slice(c, w)
+    names = equation_strings(model, eqs)
+    assert names == equation_strings(model, expected) and len(names) == len(set(names))
 
 
 def test_determinantal_model_of_equal_pair_empty():
