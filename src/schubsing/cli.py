@@ -23,7 +23,7 @@ from .components import (
 )
 from .kl import kl_recursion
 from .patterns import find_patterns
-from .perms import format_permutation, length, parse_permutation
+from .perms import Permutation, format_permutation, length, parse_permutation
 from .slices import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -41,10 +41,11 @@ __all__ = ["main"]
 # should fit: the serial S_7 sweep peaks at about 58 MB, and the S_8 memo
 # holds 170,288,585 entries at 3 bytes each, about 0.5 GB.
 _VERIFY_MAX_N = 7
-# Bounds the time and the output of one query: the worst w found in S_20,
-# 11..20,1..10, has 2,025 components and about 1 MB of JSON (0.55 s on a
-# quiet 2-core VM).
-_LOCUS_MAX_N = 20
+# Bounds the time and the output of one smooth, tangent or singular-locus
+# query.  The worst w found in S_20 for singular-locus, 11..20,1..10, has
+# 2,025 components and about 1 MB of JSON (0.55 s on a quiet 2-core VM);
+# smooth lists every 4231 and 3412 occurrence, which grows as n^4.
+_QUERY_MAX_N = 20
 
 
 def _print(data: object, pretty: bool = True) -> None:
@@ -67,8 +68,19 @@ def _poly_str(coefficients: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def _over_cap(command: str, *perms: Permutation) -> bool:
+    """Print one error line if a permutation exceeds the query cap."""
+    n = max(p.n for p in perms)
+    if n <= _QUERY_MAX_N:
+        return False
+    print(f"error: {command} takes n <= {_QUERY_MAX_N}, got n = {n}", file=sys.stderr)
+    return True
+
+
 def cmd_smooth(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
+    if _over_cap("smooth", w):
+        return 2
     occurrences = find_patterns(w)
     _print(
         {
@@ -86,6 +98,8 @@ def cmd_smooth(args: argparse.Namespace) -> int:
 def cmd_tangent(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
+    if _over_cap("tangent", v, w):
+        return 2
     report = tangent_dimension(v, w)
     _print(
         {
@@ -101,11 +115,7 @@ def cmd_tangent(args: argparse.Namespace) -> int:
 
 def cmd_singular_locus(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
-    if w.n > _LOCUS_MAX_N:
-        print(
-            f"error: singular-locus takes n <= {_LOCUS_MAX_N}, got n = {w.n}",
-            file=sys.stderr,
-        )
+    if _over_cap("singular-locus", w):
         return 2
     entries = []
     for c in components_from_patterns(w):

@@ -12,6 +12,27 @@ once per process:
 * one bitset per interior cell (p, q) and threshold k: bit v is set iff
   r_v(p, q) >= k.
 
+The per-permutation arrays are not built one permutation at a time.  In
+lexicographic order S_n is n consecutive blocks of (n - 1)! permutations:
+block a holds the v with v(1) = a + 1, and their tails, relabelled onto
+1..n - 1, run through S_{n-1} in its own order.  So every array of S_n is
+made of S_{n-1}'s columns, and the builders go up from S_0 one n at a time:
+
+* rank tables: r_v(p, q) = r_u(p - 1, q - [q > a]) + [q > a] for the tail
+  u, so column (p, q) is S_{n-1}'s column (p - 1, q - 1) raised by one in
+  the q blocks a < q, then its column (p - 1, q) in the others;
+* lengths: S_{n-1}'s lengths plus a in block a;
+* v.t for t = (i, j) with i >= 1 moves only the tail: S_{n-1}'s column
+  (i - 1, j - 1) plus the block offset a (n - 1)!.  t = (0, 1) swaps the
+  first two values, which sends each run of (n - 2)! permutations sharing
+  them to another run; (0, j) is (1, j).(0, 1).(1, j);
+* s_a.v relabels the tail by s_a or s_{a-1} (S_{n-1}'s column plus the
+  block offset), or, when v(1) is a or a + 1, moves v to the neighbouring
+  block at the same offset.
+
+No dictionary of all n! permutations is kept: ``index_of`` computes the
+lexicographic rank from v itself.
+
 A lower-interval mask is the AND of the bitsets that w's own rank table
 selects, one per cell, and is cached with a bounded LRU.  All functions are
 deterministic; the caches are guarded by locks so threaded callers only risk
@@ -20,11 +41,14 @@ duplicate work, never wrong answers.
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
 from collections import OrderedDict
 from functools import cached_property
+from itertools import compress
 from itertools import permutations as _lex_permutations
+from math import factorial
 from typing import Sequence
 
 from .perms import Permutation
@@ -43,6 +67,103 @@ _AT_LEAST = tuple(
     bytes(0x31 if b >= k else 0x30 for b in range(256)) for k in range(MAX_N + 1)
 )
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# _PLUS[k] adds k to every byte (ranks and lengths never reach 256).
+_PLUS = tuple(bytes((b + k) & 0xFF for b in range(256)) for k in range(MAX_N))
+_ONE = array("i", [1]).tobytes()
+
+
+def _raised(col: array, offset: int) -> bytes:
+    """The machine bytes of ``col`` (typecode "i") with ``offset`` added to each entry.
+
+    The entries are read as the lanes of one int and raised by one
+    multiple-precision addition; every entry plus offset stays below 2**31,
+    so no lane carries into the next.
+    """
+    lanes = int.from_bytes(col.tobytes(), sys.byteorder)
+    lanes += offset * int.from_bytes(_ONE * len(col), sys.byteorder)
+    return lanes.to_bytes(len(col) * col.itemsize, sys.byteorder)
+
+
+def _block_tables(n: int, prev: bytes) -> bytes:
+    """Rank tables of S_n from those of S_{n-1}, one (p, q) column at a time."""
+    block, tlen, prev_tlen = factorial(n - 1), (n + 1) * (n + 1), n * n
+    tables = bytearray(block * n * tlen)
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            c = (p - 1) * n + q
+            col = prev[c - 1 :: prev_tlen].translate(_PLUS[1]) * q
+            if q < n:
+                col += prev[c::prev_tlen] * (n - q)
+            tables[p * (n + 1) + q :: tlen] = col
+    return bytes(tables)
+
+
+def _block_tprod(n: int, prev: array) -> array:
+    """v.t indices of S_n from those of S_{n-1}, written one column at a time."""
+    block = factorial(n - 1)
+    ntrans, prev_ntrans = n * (n - 1) // 2, (n - 1) * (n - 2) // 2
+    tprod = array("i", [0]) * (block * n * ntrans)
+    # Transposition (i, j) with i >= 1 is column (i - 1, j - 1) of S_{n-1},
+    # which sits n - 1 columns further on in S_n's (i, j)-ordered list.
+    for t in range(prev_ntrans):
+        prev_col = prev[t::prev_ntrans]
+        col = array("i")
+        col.frombytes(b"".join(_raised(prev_col, a * block) for a in range(n)))
+        tprod[n - 1 + t :: ntrans] = col
+    if n < 2:
+        return tprod
+    # (0, 1): first values x, y (0-based) -> y, x.  The other n - 2 values
+    # keep their order, so the k-th run of (n - 2)! permutations goes whole
+    # to the run starting at starts[k].
+    run = block // (n - 1)
+    starts = [
+        y * block + (x - (x > y)) * run for x in range(n) for y in range(n) if y != x
+    ]
+    col = array("i")
+    for start in starts:
+        col.extend(range(start, start + run))
+    tprod[0::ntrans] = col
+    for j in range(2, n):
+        # (0, j) = (1, j).(0, 1).(1, j); the first two factors only reorder
+        # the runs of the (1, j) column.
+        to_1j = tprod[n - 3 + j :: ntrans]
+        then_01 = array("i")
+        for start in starts:
+            then_01 += to_1j[start : start + run]
+        tprod[j - 1 :: ntrans] = array("i", map(then_01.__getitem__, to_1j))
+    return tprod
+
+
+def _block_lmul(n: int, prev: array) -> array:
+    """s_a.v indices of S_n from those of S_{n-1}, written one column at a time."""
+    block, stride, prev_stride = factorial(n - 1), n - 1, n - 2
+    ident = array("i", range(block))
+    lmul = array("i", [0]) * (block * n * stride)
+    for a in range(1, n):
+        pieces = []
+        for b in range(n):
+            # Block b holds the v with v(1) = b + 1.
+            if b == a - 1:
+                pieces.append(_raised(ident, (b + 1) * block))
+            elif b == a:
+                pieces.append(_raised(ident, (b - 1) * block))
+            else:
+                tail = a - 1 if b < a else a
+                pieces.append(_raised(prev[tail - 1 :: prev_stride], b * block))
+        col = array("i")
+        col.frombytes(b"".join(pieces))
+        lmul[a - 1 :: stride] = col
+    return lmul
+
+
+def _lex_arrays(n: int) -> tuple[bytes, array, array]:
+    """Rank tables, lengths and v.t indices of S_n, built up from S_0."""
+    tables, lengths, tprod = b"\0", b"\0", array("i")
+    for m in range(1, n + 1):
+        tables = _block_tables(m, tables)
+        lengths = b"".join(lengths.translate(_PLUS[a]) for a in range(m))
+        tprod = _block_tprod(m, tprod)
+    return tables, array("B", lengths), tprod
 
 
 class SymmetricGroup:
@@ -55,80 +176,30 @@ class SymmetricGroup:
         self.perms: tuple[tuple[int, ...], ...] = tuple(
             _lex_permutations(range(1, n + 1))
         )
-        self._index: dict[tuple[int, ...], int] = {
-            p: i for i, p in enumerate(self.perms)
-        }
         self.tlen = (n + 1) * (n + 1)
-        self.tables = self._build_tables()
-        self.lengths = array(
-            "B",
-            (
-                sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
-                for p in self.perms
-            ),
-        )
-        # Transpositions as 0-based position pairs, and the index of v.t
-        # (swap the two positions in one-line notation) for every v, t.
+        # Transpositions as 0-based position pairs; tprod holds the index of
+        # v.t (swap the two positions in one-line notation) for every v, t.
         self.transpositions: tuple[tuple[int, int], ...] = tuple(
             (i, j) for i in range(n) for j in range(i + 1, n)
         )
         self.ntrans = len(self.transpositions)
-        self.tprod = self._build_tprod()
+        self.tables, self.lengths, self.tprod = _lex_arrays(n)
         self._columns = self._build_columns()
         self._mask_cache: OrderedDict[int, bytes] = OrderedDict()
         self._mask_cache_size = max(64, _MASK_CACHE_BYTES // max(1, len(self.perms)))
         self._lock = threading.Lock()
 
-    def _build_tables(self) -> bytes:
-        n = self.n
-        out = bytearray(len(self.perms) * self.tlen)
-        pos = 0
-        for p in self.perms:
-            row = [0] * (n + 1)
-            pos += n + 1  # zeroth row stays zero
-            for i in range(n):
-                wi = p[i]
-                for q in range(wi, n + 1):
-                    row[q] += 1
-                out[pos : pos + n + 1] = bytes(row)
-                pos += n + 1
-        return bytes(out)
-
-    def _build_tprod(self) -> array:
-        index = self._index
-        out = array("i", [0]) * (len(self.perms) * self.ntrans)
-        pos = 0
-        for p in self.perms:
-            lp = list(p)
-            for i, j in self.transpositions:
-                lp[i], lp[j] = lp[j], lp[i]
-                out[pos] = index[tuple(lp)]
-                lp[i], lp[j] = lp[j], lp[i]
-                pos += 1
-        return out
-
     @cached_property
     def lmul(self) -> array:
         """Left multiplication: ``lmul[v * (n - 1) + a - 1]`` is the index of s_a.v.
 
-        s_a.v swaps the values a and a + 1 in one-line notation, which is
-        v.t for the transposition t of their two positions, so each entry is
-        read off ``tprod``.  Built on first use: only the KL recursion needs it.
+        s_a.v swaps the values a and a + 1 in one-line notation.  Built on
+        first use: only the KL recursion needs it.
         """
-        n, ntrans, tprod = self.n, self.ntrans, self.tprod
-        column = {t: c for c, t in enumerate(self.transpositions)}
-        out = array("i", [0]) * (len(self.perms) * (n - 1))
-        pos = 0
-        where = [0] * (n + 1)
-        for vi, p in enumerate(self.perms):
-            for i, x in enumerate(p):
-                where[x] = i
-            base = vi * ntrans
-            for a in range(1, n):
-                i, j = where[a], where[a + 1]
-                out[pos] = tprod[base + column[(i, j) if i < j else (j, i)]]
-                pos += 1
-        return out
+        lmul = array("i")
+        for m in range(2, self.n + 1):
+            lmul = _block_lmul(m, lmul)
+        return lmul
 
     def _build_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per interior cell c = (p, q): (c, bits), bits[k] = {v : r_v(p, q) >= k}.
@@ -152,10 +223,19 @@ class SymmetricGroup:
         return tuple(columns)
 
     def index_of(self, values: tuple[int, ...]) -> int:
-        try:
-            return self._index[values]
-        except KeyError:
-            raise ValueError(f"not a permutation of 1..{self.n}: {values!r}") from None
+        """Lexicographic rank: sum over i of #{j > i : v(j) < v(i)} (n - i)!."""
+        rest = list(range(1, self.n + 1))
+        index = 0
+        if len(values) == self.n:
+            for x in values:
+                if x not in rest:
+                    break
+                k = rest.index(x)
+                index = index * len(rest) + k
+                del rest[k]
+        if rest:
+            raise ValueError(f"not a permutation of 1..{self.n}: {values!r}")
+        return index
 
     def perm(self, idx: int) -> Permutation:
         return Permutation(self.perms[idx])
@@ -182,7 +262,7 @@ class SymmetricGroup:
     def interval(self, wi: int) -> array:
         """Indices of {v : v <= w}, ascending."""
         mask = self.lower_mask(wi)
-        return array("i", (i for i, b in enumerate(mask) if b))
+        return array("i", compress(range(len(mask)), mask))
 
     def tangent_counts(self, wi: int, cands: Sequence[int]) -> array:
         """For each candidate v: #{transpositions t : v.t <= w}."""

@@ -213,6 +213,31 @@ def test_singular_locus_n_cap(capsys, monkeypatch):
     assert err == "error: singular-locus takes n <= 20, got n = 21\n"
 
 
+def test_smooth_and_tangent_n_cap(capsys, monkeypatch):
+    n21 = ",".join(str(x) for x in range(1, 22))
+    n20 = ",".join(str(x) for x in range(1, 21))
+    w0 = ",".join(str(x) for x in range(20, 0, -1))
+    code, out, err = run_cli(capsys, "smooth", w0)
+    assert (code, err) == (0, "") and json.loads(out)["smooth"] is True
+    code, out, err = run_cli(capsys, "tangent", n20, w0)
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["m"], json.loads(out)["excess"]) == (190, 0)
+
+    def no_work(*perms):
+        raise AssertionError("the query was computed")
+
+    monkeypatch.setattr("schubsing.cli.find_patterns", no_work)
+    monkeypatch.setattr("schubsing.cli.tangent_dimension", no_work)
+    for argv, command in [
+        (("smooth", n21), "smooth"),
+        (("tangent", n20, n21), "tangent"),
+        (("tangent", n21, n21), "tangent"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} takes n <= 20, got n = 21\n"
+
+
 def test_classification_error_exits_1(capsys, monkeypatch):
     def misfit(w):
         raise ClassificationError("4231 configuration does not fit")

@@ -1,10 +1,114 @@
-"""Tests for the cached symmetric group: interval masks, tangent counts, tables."""
+"""Tests for the cached symmetric group: interval masks, tangent counts, tables.
+
+The ``reference_*`` builders below are the earlier one-permutation-at-a-time
+constructions of the group's arrays.  The block construction in
+``schubsing.symgroup`` must reproduce them byte for byte.
+"""
+
+import os
+import tracemalloc
+from array import array
+from itertools import permutations
 
 import pytest
 
 from schubsing.perms import Permutation, bruhat_leq, length
-from schubsing.symgroup import MAX_N, symmetric_group
+from schubsing.symgroup import MAX_N, SymmetricGroup, symmetric_group
 from schubsing.tangent import tangent_dimension
+
+
+def reference_tables(n, perms):
+    """Flattened rank tables, (n + 1) x (n + 1) bytes per permutation."""
+    out = bytearray()
+    for p in perms:
+        row = [0] * (n + 1)
+        out += bytes(row)  # zeroth row stays zero
+        for wi in p:
+            for q in range(wi, n + 1):
+                row[q] += 1
+            out += bytes(row)
+    return bytes(out)
+
+
+def reference_lengths(n, perms):
+    """Coxeter lengths as inversion counts."""
+    return array(
+        "B",
+        (sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b]) for p in perms),
+    )
+
+
+def reference_tprod(n, perms, index):
+    """Index of v.t for every v and position pair t = (i, j), i < j."""
+    out = array("i")
+    for p in perms:
+        lp = list(p)
+        for i in range(n):
+            for j in range(i + 1, n):
+                lp[i], lp[j] = lp[j], lp[i]
+                out.append(index[tuple(lp)])
+                lp[i], lp[j] = lp[j], lp[i]
+    return out
+
+
+def _swap_values(values, a):
+    """Left multiplication by the adjacent transposition (a, a+1)."""
+    return tuple(a + 1 if x == a else a if x == a + 1 else x for x in values)
+
+
+def reference_lmul(n, perms, index):
+    """Index of s_a.v for every v and a = 1..n-1."""
+    return array("i", (index[_swap_values(p, a)] for p in perms for a in range(1, n)))
+
+
+def _assert_matches_references(n):
+    group = SymmetricGroup(n)
+    perms = list(permutations(range(1, n + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+    assert list(group.perms) == perms
+    assert type(group.tables) is bytes
+    assert group.tables == reference_tables(n, perms)
+    expected = reference_lengths(n, perms)
+    assert group.lengths.typecode == expected.typecode and group.lengths == expected
+    expected = reference_tprod(n, perms, index)
+    assert group.tprod.typecode == expected.typecode and group.tprod == expected
+    expected = reference_lmul(n, perms, index)
+    assert group.lmul.typecode == expected.typecode and group.lmul == expected
+    assert all(group.index_of(p) == i for p, i in index.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_block_arrays_match_per_permutation_references(n):
+    _assert_matches_references(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SCHUBSING_N7"),
+    reason="S_8 reference arrays are built only with SCHUBSING_N7=1",
+)
+def test_block_arrays_match_per_permutation_references_s8():
+    _assert_matches_references(8)
+
+
+def test_block_build_keeps_transients_small():
+    """The S_8 build never holds more than a few columns beyond what it keeps.
+
+    Each tprod and lmul column is written into its array as soon as it is
+    built; keeping every column until the end would add a whole tprod.
+    """
+    tracemalloc.start()
+    try:
+        group = SymmetricGroup(8)
+        kept, peak = tracemalloc.get_traced_memory()
+        tprod_bytes = len(group.tprod) * group.tprod.itemsize
+        arrays = len(group.tables) + len(group.lengths) + tprod_bytes
+        assert peak - kept < arrays / 4
+        tracemalloc.reset_peak()
+        group.lmul
+        kept, peak = tracemalloc.get_traced_memory()
+        assert peak - kept < len(group.lmul) * group.lmul.itemsize
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -57,8 +161,9 @@ def test_group_size_guard():
 
 def test_index_of_unknown_permutation():
     group = symmetric_group(4)
-    with pytest.raises(ValueError):
-        group.index_of((1, 2, 3))
+    for values in [(1, 2, 3), (1, 2, 3, 3), (1, 2, 3, 5), (0, 1, 2, 3), (1, 2, 3, 4, 5)]:
+        with pytest.raises(ValueError):
+            group.index_of(values)
 
 
 def test_lower_mask_is_cached():
