@@ -30,7 +30,6 @@ from .perms import (
     longest_element,
     make_permutation,
     parse_permutation,
-    rank_excess_region,
     rank_table,
     transposition,
 )
@@ -48,7 +47,7 @@ from .slices import (
     verify_slice,
 )
 from .sweep import verify_all, verify_permutation
-from .tangent import TangentReport, singular_components, singular_points, tangent_dimension
+from .tangent import TangentReport, singular_components, tangent_dimension
 
 __version__ = "0.1.0"
 
@@ -92,10 +91,8 @@ __all__ = [
     "longest_element",
     "make_permutation",
     "parse_permutation",
-    "rank_excess_region",
     "rank_table",
     "singular_components",
-    "singular_points",
     "slice_report",
     "tangent_dimension",
     "transposition",

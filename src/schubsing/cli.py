@@ -37,14 +37,16 @@ from .tangent import singular_components, tangent_dimension
 
 __all__ = ["main"]
 
-# n = 8 waits on one recorded S_8 run (ROADMAP item 4).  The compact KL memo
-# should fit: the serial S_7 sweep peaks at about 58 MB, and the S_8 memo
-# holds 170,288,585 entries at 3 bytes each, about 0.5 GB.
+# n = 8 waits on one recorded S_8 run (ROADMAP item 1).  The compact KL memo
+# should fit: the serial S_7 sweep peaks at about 32 MB, and the S_8 memo
+# holds 170,288,585 entries at 4 bytes each (two-byte indices and ids),
+# about 0.7 GB.
 _VERIFY_MAX_N = 7
-# Bounds the time and the output of one smooth, tangent or singular-locus
-# query.  The worst w found in S_20 for singular-locus, 11..20,1..10, has
-# 2,025 components and about 1 MB of JSON (0.55 s on a quiet 2-core VM);
-# smooth lists every 4231 and 3412 occurrence, which grows as n^4.
+# Bounds the time and the output of one query, checked before any work.  The
+# worst w found in S_20 for singular-locus, 11..20,1..10, has 2,025
+# components and about 1 MB of JSON (0.55 s on a quiet 2-core VM); smooth
+# lists every 4231 and 3412 occurrence, which grows as n^4.  kl, report and
+# slice (unless v = w) still build the whole group, which stops at n = 9.
 _QUERY_MAX_N = 20
 
 
@@ -134,6 +136,8 @@ def cmd_singular_locus(args: argparse.Namespace) -> int:
 def cmd_kl(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
+    if _over_cap("kl", v, w):
+        return 2
     recursion = kl_recursion(v, w)
     closed: tuple[int, ...] | None = None
     if v != w and v in singular_components(w):
@@ -154,6 +158,8 @@ def cmd_kl(args: argparse.Namespace) -> int:
 def cmd_slice(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
+    if _over_cap("slice", v, w):
+        return 2
     report = slice_report(v, w, trials=args.trials, seed=args.seed)
     report["v"] = format_permutation(v)
     report["w"] = format_permutation(w)
@@ -164,6 +170,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
+    if _over_cap("report", w):
+        return 2
     record = verify_permutation(w, trials=args.trials, seed=args.seed)
     _print(record)
     return 0 if record["ok"] else 1

@@ -439,13 +439,13 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
     n <= ``MAX_N``.
     """
     group = symmetric_group(w.n)
-    wi = group.index_of(w.values)
+    mask = group.lower_mask(group.index_of(w.values))
     vi = group.index_of(v.values)
-    if not group.lower_mask(wi)[vi]:
+    if not mask[vi]:
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
     lw = length(w)
     d = lw - length(v)
-    e = group.tangent_counts(wi, (vi,))[0] - lw
+    e = group.tangent_counts(mask, (vi,))[0] - lw
     if e <= 0:
         raise ClassificationError(
             f"v={v.values} is a smooth point of X_{{{w.values}}} (excess {e})"

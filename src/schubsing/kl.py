@@ -20,10 +20,11 @@ Polynomials are dense tuples of nonnegative integer coefficients, constant
 term first.  Each distinct polynomial is interned once in a process-wide
 list (all of S_7 has only 98 of them), and the table of w is stored compactly
 as two parallel arrays: the lower interval of w (group indices ascending,
-two bytes each for n <= 8) and one polynomial id per interval element (one
-byte while at most 256 polynomials are interned, wider beyond).  A pair
-(v, w) is looked up by binary search for v in the interval of w.  The memo
-is module-level and lock-guarded, so concurrent sweeps either share it
+two bytes each for n <= 8) and one polynomial id per interval element, in
+the narrowest of one, two or four bytes that holds every id interned when
+the table is stored.  A pair (v, w) is looked up by binary search for v in
+the interval of w; a v that is not there is not below w.  The memo is
+module-level and lock-guarded, so concurrent sweeps either share it
 safely or (as the multiprocessing sweep does) keep one per worker process.
 """
 
@@ -40,9 +41,10 @@ __all__ = ["KLPoly", "kl_recursion", "clear_kl_cache"]
 
 KLPoly = tuple[int, ...]
 
-# A table holds ids in one byte each while at most this many polynomials are
-# interned; past that, newly built tables use four-byte ids.
-_BYTE_IDS = 256
+# A table stores its ids in the first typecode whose limit is at least the
+# number of polynomials interned so far (every id is below that number), and
+# in "i" past the last one, so ids never wrap.
+_ID_LIMITS = (("B", 1 << 8), ("H", 1 << 16))
 
 # The interned polynomials, never shrunk: ids stay valid for the whole process.
 _polys: list[KLPoly] = []
@@ -112,17 +114,6 @@ def _add_shifted(acc: list[int], poly: KLPoly, shift: int, scale: int = 1) -> No
         acc[shift + i] += scale * coeff
 
 
-def _smallest_left_descent(values: tuple[int, ...]) -> int:
-    """Smallest a with a placed after a+1 in one-line notation, or 0 if none."""
-    pos = [0] * (len(values) + 2)
-    for i, x in enumerate(values):
-        pos[x] = i
-    for a in range(1, len(values)):
-        if pos[a] > pos[a + 1]:
-            return a
-    return 0
-
-
 def _mu_support(group: SymmetricGroup, yi: int) -> tuple[array, array]:
     """All z < y with mu(z, y) nonzero, ascending, and their mu values."""
     key = (group.n, yi)
@@ -156,20 +147,21 @@ def _kl_table(group: SymmetricGroup, wi: int) -> tuple[array, array]:
             return cached
 
     # Two bytes per index up to S_8 (8! = 40,320); S_9 needs four.
-    interval = array("H" if len(group.perms) <= 1 << 16 else "i", group.interval(wi))
-    a = _smallest_left_descent(group.perms[wi])
-    if a == 0:
+    interval = array("H" if group.order <= 1 << 16 else "i", group.interval(wi))
+    # s = s_a for the smallest a with s_a.w < w; s.v sits in column a - 1 of
+    # the left-multiplication table.
+    lmul, stride, lengths = group.lmul, group.n - 1, group.lengths
+    lw = lengths[wi]
+    row = lmul[wi * stride : (wi + 1) * stride]
+    col = next((a for a, swi in enumerate(row) if lengths[swi] < lw), None)
+    if col is None:
         return _store(key, interval, [_intern((1,))])
 
-    # s.v for s = s_a sits in column a - 1 of the left-multiplication table.
-    lmul, stride, col = group.lmul, group.n - 1, a - 1
-    swi = lmul[wi * stride + col]
+    swi = row[col]
     sub = _kl_table(group, swi)
-    lengths = group.lengths
-    lw = lengths[wi]
     # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
     mus = [
-        (zi, mu, group.lower_mask(zi), _kl_table(group, zi))
+        ((lw - lengths[zi]) // 2, mu, *_kl_table(group, zi))
         for zi, mu in zip(*_mu_support(group, swi))
         if lengths[lmul[zi * stride + col]] < lengths[zi]
     ]
@@ -181,18 +173,21 @@ def _kl_table(group: SymmetricGroup, wi: int) -> tuple[array, array]:
         acc: list[int] = []
         _add_shifted(acc, _lookup(sub, svi), 1 - c)
         _add_shifted(acc, _lookup(sub, vi), c)
-        for zi, mu, below_z, ztable in mus:
-            if not below_z[vi]:
-                continue
-            pvz = _lookup(ztable, vi) if zi != vi else (1,)
-            _add_shifted(acc, pvz, (lw - lengths[zi]) // 2, -mu)
+        # P(v, z) is zero unless v is in z's interval.  This runs once per
+        # (v, z), so the search is inlined rather than a _lookup call.
+        for shift, mu, zinterval, zids in mus:
+            k = bisect_left(zinterval, vi)
+            if k < len(zinterval) and zinterval[k] == vi:
+                _add_shifted(acc, _polys[zids[k]], shift, -mu)
         ids.append(_intern(_strip(acc)))
     return _store(key, interval, ids)
 
 
 def _store(key: tuple[int, int], interval: array, ids: list[int]) -> tuple[array, array]:
-    """Memoize a table, its ids in one byte each while every interned id fits."""
-    table = (interval, array("B" if len(_polys) <= _BYTE_IDS else "i", ids))
+    """Memoize a table, its ids in the narrowest typecode that holds every interned id."""
+    count = len(_polys)
+    code = next((code for code, limit in _ID_LIMITS if count <= limit), "i")
+    table = (interval, array(code, ids))
     with _lock:
         _tables[key] = table
     return table

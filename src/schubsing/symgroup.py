@@ -4,8 +4,8 @@ Interval enumeration is done by filtering all of S_n with the rank-table
 domination test; no poset data structure is kept.  For every group we store,
 once per process:
 
-* all n! permutations in lexicographic order of one-line notation,
-* their flattened rank tables (one byte per entry),
+* the flattened rank tables of all n! permutations, in lexicographic order
+  of one-line notation (one byte per entry),
 * their Coxeter lengths,
 * the index of v.t for every permutation v and transposition t,
 * on first use, the index of s_a.v for every v and simple reflection s_a,
@@ -30,13 +30,12 @@ made of S_{n-1}'s columns, and the builders go up from S_0 one n at a time:
   block offset), or, when v(1) is a or a + 1, moves v to the neighbouring
   block at the same offset.
 
-No dictionary of all n! permutations is kept: ``index_of`` computes the
-lexicographic rank from v itself.
+No permutation is stored: ``index_of`` computes the lexicographic rank
+from v itself, and ``perm`` unranks an index.
 
 A lower-interval mask is the AND of the bitsets that w's own rank table
-selects, one per cell, and is cached with a bounded LRU.  All functions are
-deterministic; the caches are guarded by locks so threaded callers only risk
-duplicate work, never wrong answers.
+selects, one per cell.  It is not cached: each caller builds the mask it
+needs and keeps it as long as it uses it.
 """
 
 from __future__ import annotations
@@ -44,10 +43,8 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from collections import OrderedDict
 from functools import cached_property
 from itertools import compress
-from itertools import permutations as _lex_permutations
 from math import factorial
 from typing import Sequence
 
@@ -58,8 +55,6 @@ __all__ = ["MAX_N", "SymmetricGroup", "symmetric_group"]
 # 9! tables already take ~36 MB; past that, filtering all of S_n per query is
 # no longer a sane strategy.
 MAX_N = 9
-
-_MASK_CACHE_BYTES = 1 << 27
 
 # Byte maps for the bitsets: _AT_LEAST[k] sends a rank byte b to "1" if
 # b >= k, else "0"; _BIT_BYTES sends the digits of a binary string to 0/1.
@@ -167,15 +162,13 @@ def _lex_arrays(n: int) -> tuple[bytes, array, array]:
 
 
 class SymmetricGroup:
-    """All of S_n plus the precomputed arrays the interval sweeps consume."""
+    """S_n as the precomputed arrays the interval sweeps consume."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
             raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
         self.n = n
-        self.perms: tuple[tuple[int, ...], ...] = tuple(
-            _lex_permutations(range(1, n + 1))
-        )
+        self.order = factorial(n)
         self.tlen = (n + 1) * (n + 1)
         # Transpositions as 0-based position pairs; tprod holds the index of
         # v.t (swap the two positions in one-line notation) for every v, t.
@@ -185,9 +178,6 @@ class SymmetricGroup:
         self.ntrans = len(self.transpositions)
         self.tables, self.lengths, self.tprod = _lex_arrays(n)
         self._columns = self._build_columns()
-        self._mask_cache: OrderedDict[int, bytes] = OrderedDict()
-        self._mask_cache_size = max(64, _MASK_CACHE_BYTES // max(1, len(self.perms)))
-        self._lock = threading.Lock()
 
     @cached_property
     def lmul(self) -> array:
@@ -238,35 +228,34 @@ class SymmetricGroup:
         return index
 
     def perm(self, idx: int) -> Permutation:
-        return Permutation(self.perms[idx])
+        """The permutation of lexicographic rank ``idx``: the inverse of ``index_of``."""
+        if not 0 <= idx < self.order:
+            raise IndexError(f"no permutation of rank {idx} in S_{self.n}")
+        rest = list(range(1, self.n + 1))
+        values = []
+        for k in range(self.n - 1, -1, -1):
+            digit, idx = divmod(idx, factorial(k))
+            values.append(rest.pop(digit))
+        return Permutation(tuple(values))
 
     def lower_mask(self, wi: int) -> bytes:
         """Byte mask over all of S_n: mask[v] = 1 iff v <= w in Bruhat order."""
-        with self._lock:
-            cached = self._mask_cache.get(wi)
-            if cached is not None:
-                self._mask_cache.move_to_end(wi)
-                return cached
-        count = len(self.perms)
         tw = self.tables[wi * self.tlen : (wi + 1) * self.tlen]
-        acc = (1 << count) - 1
+        acc = (1 << self.order) - 1
         for c, bits in self._columns:
             acc &= bits[tw[c]]
-        mask = format(acc, f"0{count}b").encode().translate(_BIT_BYTES)
-        with self._lock:
-            self._mask_cache[wi] = mask
-            while len(self._mask_cache) > self._mask_cache_size:
-                self._mask_cache.popitem(last=False)
-        return mask
+        return format(acc, f"0{self.order}b").encode().translate(_BIT_BYTES)
 
     def interval(self, wi: int) -> array:
         """Indices of {v : v <= w}, ascending."""
         mask = self.lower_mask(wi)
         return array("i", compress(range(len(mask)), mask))
 
-    def tangent_counts(self, wi: int, cands: Sequence[int]) -> array:
-        """For each candidate v: #{transpositions t : v.t <= w}."""
-        mask = self.lower_mask(wi)
+    def tangent_counts(self, mask: bytes, cands: Sequence[int]) -> array:
+        """For each candidate v: #{transpositions t : v.t <= w}.
+
+        ``mask`` is ``lower_mask(wi)`` of w, which the caller already holds.
+        """
         tprod, ntrans = self.tprod, self.ntrans
         return array(
             "i",

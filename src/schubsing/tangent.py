@@ -10,11 +10,18 @@ one-line notation).  The excess m(w, v) - length(w) is nonnegative, zero
 exactly at smooth points, and this count is the ground truth the rest of the
 package is verified against: no pattern data and no slice geometry enters
 here.
+
+``tangent_dimension`` tests each v.t with ``bruhat_leq``.  The singular
+points and components of w come from :mod:`schubsing.symgroup` instead:
+one interval mask of w gives every v <= w and its count, and each kept
+maximal point's own mask rules out the points below it.  Points sort by
+length, then by group index, which is one-line order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .perms import Permutation, all_transpositions, bruhat_leq, compose, length
 from .symgroup import SymmetricGroup, symmetric_group
@@ -56,9 +63,9 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
 def _singular_indices(w: Permutation) -> tuple[SymmetricGroup, list[int]]:
     """The group of w and the indices of its singular points v <= w."""
     group = symmetric_group(w.n)
-    wi = group.index_of(w.values)
-    cands = group.interval(wi)
-    counts = group.tangent_counts(wi, cands)
+    mask = group.lower_mask(group.index_of(w.values))
+    cands = list(compress(range(group.order), mask))
+    counts = group.tangent_counts(mask, cands)
     lw = length(w)
     return group, [vi for vi, count in zip(cands, counts) if count > lw]
 
@@ -77,7 +84,7 @@ def singular_components(w: Permutation) -> set[Permutation]:
     group, singular = _singular_indices(w)
     # Scan by decreasing length; a point is maximal iff it is not below any
     # already-kept maximal point.
-    singular.sort(key=lambda vi: (-group.lengths[vi], group.perms[vi]))
+    singular.sort(key=lambda vi: (-group.lengths[vi], vi))
     kept: list[int] = []
     kept_masks: list[bytes] = []
     for vi in singular:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -238,6 +239,42 @@ def test_smooth_and_tangent_n_cap(capsys, monkeypatch):
         assert err == f"error: {command} takes n <= 20, got n = 21\n"
 
 
+def test_slice_at_the_cap_prints_the_trivial_slice(capsys):
+    w0 = ",".join(str(x) for x in range(20, 0, -1))
+    code, out, err = run_cli(capsys, "slice", w0, w0)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["free"], data["equations"], data["type"]) == ([], [], None)
+    assert data["verdict"]["samples"] == 0 and data["verdict"]["failures"] == []
+
+
+def test_kl_slice_report_n_cap(capsys, monkeypatch):
+    n21 = ",".join(str(x) for x in range(1, 22))
+    n20 = ",".join(str(x) for x in range(1, 21))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the query was computed")
+
+    for name in (
+        "kl_recursion",
+        "singular_components",
+        "classify_component",
+        "slice_report",
+        "verify_permutation",
+    ):
+        monkeypatch.setattr(f"schubsing.cli.{name}", no_work)
+    for argv, command in [
+        (("kl", n20, n21), "kl"),
+        (("kl", n21, n21), "kl"),
+        (("slice", n21, n21), "slice"),
+        (("slice", n20, n21), "slice"),
+        (("report", n21), "report"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} takes n <= 20, got n = 21\n"
+
+
 def test_classification_error_exits_1(capsys, monkeypatch):
     def misfit(w):
         raise ClassificationError("4231 configuration does not fit")
@@ -246,6 +283,13 @@ def test_classification_error_exits_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "singular-locus", "4231")
     assert (code, out) == (1, "")
     assert err == "error: 4231 configuration does not fit\n"
+
+
+def test_verify_all_n6_stdout_is_pinned(capsys):
+    """The S_6 sweep at the default seed prints the same bytes as it always has."""
+    code, out, err = run_cli(capsys, "verify-all", "--n", "6")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "c6b06fd3dd161bc8243edfc35bef8a35"
 
 
 def test_verify_all_deterministic(capsys):

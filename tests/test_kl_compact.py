@@ -1,20 +1,23 @@
 """The compact KL memo against the dict-per-w recursion it replaced.
 
 ``reference_table`` below is that earlier implementation: one
-``dict[int, tuple]`` per w, s.v found by rebuilding the one-line tuple and
-looking it up in the group's index.  The compact memo (interned polynomials,
-one id per interval element, s.v from ``SymmetricGroup.lmul``) must give the
-same polynomial for every pair.
+``dict[int, tuple]`` per w, the descent read off w's one-line notation, s.v
+found by rebuilding the one-line tuple and looking it up in the group's
+index, and v <= z tested with z's interval mask.  The compact memo (interned
+polynomials, one id per interval element, s.v and the descent from
+``SymmetricGroup.lmul``, v <= z by search in z's interval) must give the same
+polynomial for every pair.
 """
 
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
 from schubsing import kl
-from schubsing.kl import _add_shifted, _smallest_left_descent, _strip, kl_recursion
+from schubsing.kl import _add_shifted, _strip, kl_recursion
 from schubsing.perms import Permutation
-from schubsing.symgroup import symmetric_group
+from schubsing.symgroup import SymmetricGroup, symmetric_group
 
 
 def _swap_values(values, a):
@@ -22,11 +25,22 @@ def _swap_values(values, a):
     return tuple(a + 1 if x == a else a if x == a + 1 else x for x in values)
 
 
+def _smallest_left_descent(values):
+    """Smallest a with a placed after a+1 in one-line notation, or 0 if none."""
+    pos = [0] * (len(values) + 2)
+    for i, x in enumerate(values):
+        pos[x] = i
+    for a in range(1, len(values)):
+        if pos[a] > pos[a + 1]:
+            return a
+    return 0
+
+
 def reference_table(group, wi, memo, mu_memo):
     """P(v, w) for every v <= w, keyed by group index of v (dict memo)."""
     if wi in memo:
         return memo[wi]
-    w = group.perms[wi]
+    w = group.perm(wi).values
     a = _smallest_left_descent(w)
     if a == 0:
         memo[wi] = {wi: (1,)}
@@ -38,11 +52,11 @@ def reference_table(group, wi, memo, mu_memo):
     mus = [
         (zi, mu, group.lower_mask(zi))
         for zi, mu in sorted(reference_mu_support(group, swi, memo, mu_memo).items())
-        if lengths[group.index_of(_swap_values(group.perms[zi], a))] < lengths[zi]
+        if lengths[group.index_of(_swap_values(group.perm(zi).values, a))] < lengths[zi]
     ]
     table = {}
     for vi in group.interval(wi):
-        svi = group.index_of(_swap_values(group.perms[vi], a))
+        svi = group.index_of(_swap_values(group.perm(vi).values, a))
         c = 1 if lengths[svi] < lengths[vi] else 0
         acc = []
         _add_shifted(acc, sub.get(svi, ()), 1 - c)
@@ -79,7 +93,7 @@ def fresh_memo():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_compact_recursion_matches_dict_reference(n, fresh_memo):
     group = symmetric_group(n)
-    perms = [Permutation(values) for values in group.perms]
+    perms = [Permutation(values) for values in permutations(range(1, n + 1))]
     memo, mu_memo = {}, {}
     for wi, w in enumerate(perms):
         expected = reference_table(group, wi, memo, mu_memo)
@@ -92,8 +106,8 @@ def test_compact_recursion_matches_dict_reference(n, fresh_memo):
 def test_left_multiplication_table(n):
     group = symmetric_group(n)
     stride = n - 1
-    assert len(group.lmul) == len(group.perms) * stride
-    for vi, values in enumerate(group.perms):
+    assert len(group.lmul) == group.order * stride
+    for vi, values in enumerate(permutations(range(1, n + 1))):
         for a in range(1, n):
             expected = group.index_of(_swap_values(values, a))
             assert group.lmul[vi * stride + a - 1] == expected
@@ -101,20 +115,16 @@ def test_left_multiplication_table(n):
 
 def test_group_builds_no_left_multiplication_table():
     """symmetric_group(n) stays as cheap as before: lmul waits for first use."""
-    from schubsing.symgroup import SymmetricGroup
-
     assert "lmul" not in vars(SymmetricGroup(5))
 
 
 def test_s6_tables_stay_small(fresh_memo):
     """All 720 tables of S_6 in well under 2 MB (the dict memo took 9.9 MB)."""
     group = symmetric_group(6)
-    for wi in range(len(group.perms)):
-        group.lower_mask(wi)
     group.lmul
     tracemalloc.start()
     try:
-        for wi in range(len(group.perms)):
+        for wi in range(group.order):
             kl._kl_table(group, wi)
         current, _ = tracemalloc.get_traced_memory()
     finally:
@@ -125,19 +135,37 @@ def test_s6_tables_stay_small(fresh_memo):
         assert len(interval) == len(ids)
 
 
+def test_each_table_builds_one_mask(monkeypatch, fresh_memo):
+    """A table reads only its own interval; v <= z is found in z's table."""
+    calls = []
+    real = SymmetricGroup.lower_mask
+
+    def counted(self, wi):
+        calls.append(wi)
+        return real(self, wi)
+
+    monkeypatch.setattr(SymmetricGroup, "lower_mask", counted)
+    group = symmetric_group(6)
+    for wi in range(group.order):
+        kl._kl_table(group, wi)
+    assert sorted(calls) == list(range(group.order))
+
+
 def test_ids_widen_past_byte_limit(monkeypatch, fresh_memo):
-    """With room for only 3 ids per byte table, tables widen instead of wrapping."""
-    monkeypatch.setattr(kl, "_BYTE_IDS", 3)
+    """With room for 2 one-byte and 4 two-byte ids, tables widen instead of wrapping."""
+    monkeypatch.setattr(kl, "_ID_LIMITS", (("B", 2), ("H", 4)))
+    monkeypatch.setattr(kl, "_polys", [])
+    monkeypatch.setattr(kl, "_poly_ids", {})
+    limits = {"B": 2, "H": 4, "i": 1 << 31}
     group = symmetric_group(5)
     memo, mu_memo = {}, {}
-    for wi in range(len(group.perms)):
+    for wi in range(group.order):
         interval, ids = kl._kl_table(group, wi)
-        if ids.typecode == "B":
-            assert max(ids) < 3
+        assert max(ids) < limits[ids.typecode]
         expected = reference_table(group, wi, memo, mu_memo)
         assert [kl._polys[i] for i in ids] == [expected[vi] for vi in interval]
-    assert any(ids.typecode != "B" for _, ids in kl._tables.values())
-    assert max(max(ids) for _, ids in kl._tables.values()) >= 3
+    assert {ids.typecode for _, ids in kl._tables.values()} == {"B", "H", "i"}
+    assert max(max(ids) for _, ids in kl._tables.values()) >= 4
 
 
 def test_interning_keeps_ids_across_cache_clears(fresh_memo):

@@ -87,7 +87,7 @@ def test_free_coordinates_match_cell_by_cell_reference():
     """The prefix-sum rectangle test against the cell scan, on every v <= w of S_5."""
     group = symmetric_group(5)
     pairs = 0
-    for wi, w_values in enumerate(group.perms):
+    for wi, w_values in enumerate(itertools.permutations(range(1, 6))):
         w = Permutation(w_values)
         for vi in group.interval(wi):
             v = group.perm(vi)

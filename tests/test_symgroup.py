@@ -1,4 +1,4 @@
-"""Tests for the cached symmetric group: interval masks, tangent counts, tables.
+"""Tests for the symmetric group: ranking, interval masks, tangent counts, tables.
 
 The ``reference_*`` builders below are the earlier one-permutation-at-a-time
 constructions of the group's arrays.  The block construction in
@@ -65,7 +65,7 @@ def _assert_matches_references(n):
     group = SymmetricGroup(n)
     perms = list(permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(perms)}
-    assert list(group.perms) == perms
+    assert group.order == len(perms)
     assert type(group.tables) is bytes
     assert group.tables == reference_tables(n, perms)
     expected = reference_lengths(n, perms)
@@ -111,10 +111,23 @@ def test_block_build_keeps_transients_small():
         tracemalloc.stop()
 
 
+def test_group_keeps_only_its_arrays():
+    """S_8 keeps its arrays and bitsets; no n!-tuple of permutations, no mask cache."""
+    tracemalloc.start()
+    try:
+        group = SymmetricGroup(8)
+        group.lower_mask(group.order - 1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = len(group.tables) + len(group.lengths) + len(group.tprod) * group.tprod.itemsize
+    assert kept - arrays < 1_000_000
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mask_agrees_with_bruhat_leq(n):
     group = symmetric_group(n)
-    perms = [Permutation(values) for values in group.perms]
+    perms = [Permutation(values) for values in permutations(range(1, n + 1))]
     for wi, w in enumerate(perms):
         mask = group.lower_mask(wi)
         assert type(mask) is bytes and len(mask) == len(perms)
@@ -123,23 +136,21 @@ def test_mask_agrees_with_bruhat_leq(n):
 
 def test_tangent_counts_agree_with_tangent_dimension():
     group = symmetric_group(5)
-    for wi, values in enumerate(group.perms):
+    for wi, values in enumerate(permutations(range(1, 6))):
         w = Permutation(values)
         cands = group.interval(wi)
-        counts = group.tangent_counts(wi, cands)
+        counts = group.tangent_counts(group.lower_mask(wi), cands)
         assert len(counts) == len(cands)
         for vi, count in zip(cands, counts):
-            assert count == tangent_dimension(group.perm(vi), w).dim, (
-                group.perms[vi],
-                values,
-            )
+            v = group.perm(vi)
+            assert count == tangent_dimension(v, w).dim, (v, w)
 
 
 def test_tprod_matches_composition():
     """Neighbour table: entry (v, t) is the index of v composed with t."""
     group = symmetric_group(4)
     ntrans = len(group.transpositions)
-    for vi, values in enumerate(group.perms):
+    for vi, values in enumerate(permutations(range(1, 5))):
         for ti, (a, b) in enumerate(group.transpositions):
             swapped = list(values)
             swapped[a], swapped[b] = swapped[b], swapped[a]
@@ -148,7 +159,7 @@ def test_tprod_matches_composition():
 
 def test_lengths_array():
     group = symmetric_group(5)
-    for vi, values in enumerate(group.perms):
+    for vi, values in enumerate(permutations(range(1, 6))):
         assert group.lengths[vi] == length(Permutation(values))
 
 
@@ -166,16 +177,13 @@ def test_index_of_unknown_permutation():
             group.index_of(values)
 
 
-def test_lower_mask_is_cached():
-    group = symmetric_group(4)
-    first = group.lower_mask(10)
-    second = group.lower_mask(10)
-    assert first == second
-    assert first is second
-
-
 def test_perms_are_lexicographic():
-    group = symmetric_group(4)
-    assert list(group.perms) == sorted(group.perms)
-    assert group.perms[0] == (1, 2, 3, 4)
-    assert group.perms[-1] == (4, 3, 2, 1)
+    """``perm`` unranks ``index_of``, both in lexicographic order, on S_1 to S_7."""
+    for n in range(1, 8):
+        group = symmetric_group(n)
+        expected = list(permutations(range(1, n + 1)))
+        assert [group.perm(i).values for i in range(group.order)] == expected
+        assert [group.index_of(values) for values in expected] == list(range(group.order))
+        for idx in (-1, group.order):
+            with pytest.raises(IndexError):
+                group.perm(idx)
