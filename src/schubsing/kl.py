@@ -26,6 +26,10 @@ the table is stored.  A pair (v, w) is looked up by binary search for v in
 the interval of w; a v that is not there is not below w.  The memo is
 module-level and lock-guarded, so concurrent sweeps either share it
 safely or (as the multiprocessing sweep does) keep one per worker process.
+
+An entry with no correction term is a function of c and the ids of
+P(s.v, s.w) and P(v, s.w) alone.  All of S_7 has only 408 such triples, so
+each is summed once and memoized to the id of its result.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ _poly_ids: dict[KLPoly, int] = {}
 _tables: dict[tuple[int, int], tuple[array, array]] = {}
 # (n, y index) -> (every z < y with mu(z, y) != 0, ascending; mu(z, y) per z).
 _mu_supports: dict[tuple[int, int], tuple[array, array]] = {}
+# (c, id of P(s.v, s.w), id of P(v, s.w)) -> id of P(v, w), for the entries
+# the correction sum does not touch.  Ids are never reused, so this survives
+# clear_kl_cache; threads that race on a triple store the same id.
+_plain_ids: dict[tuple[int, int, int], int] = {}
 _lock = threading.RLock()
 
 
@@ -90,13 +98,13 @@ def _intern(poly: KLPoly) -> int:
     return pid
 
 
-def _lookup(table: tuple[array, array], vi: int) -> KLPoly:
-    """P(v, w) from the table of w, or () (the zero polynomial) if v is not <= w."""
+def _lookup_id(table: tuple[array, array], vi: int) -> int:
+    """The id of P(v, w) from the table of w, or -1 (the zero polynomial) if v is not <= w."""
     interval, ids = table
     k = bisect_left(interval, vi)
     if k < len(interval) and interval[k] == vi:
-        return _polys[ids[k]]
-    return ()
+        return ids[k]
+    return -1
 
 
 def _strip(coeffs: list[int]) -> KLPoly:
@@ -170,17 +178,34 @@ def _kl_table(group: SymmetricGroup, wi: int) -> tuple[array, array]:
     for vi in interval:
         svi = lmul[vi * stride + col]
         c = 1 if lengths[svi] < lengths[vi] else 0
-        acc: list[int] = []
-        _add_shifted(acc, _lookup(sub, svi), 1 - c)
-        _add_shifted(acc, _lookup(sub, vi), c)
+        plain = (c, _lookup_id(sub, svi), _lookup_id(sub, vi))
+        acc = None
         # P(v, z) is zero unless v is in z's interval.  This runs once per
-        # (v, z), so the search is inlined rather than a _lookup call.
+        # (v, z), so the search is inlined rather than a _lookup_id call.
         for shift, mu, zinterval, zids in mus:
             k = bisect_left(zinterval, vi)
             if k < len(zinterval) and zinterval[k] == vi:
+                if acc is None:
+                    acc = _plain_sum(*plain)
                 _add_shifted(acc, _polys[zids[k]], shift, -mu)
-        ids.append(_intern(_strip(acc)))
+        if acc is not None:
+            ids.append(_intern(_strip(acc)))
+            continue
+        pid = _plain_ids.get(plain)
+        if pid is None:
+            pid = _plain_ids[plain] = _intern(_strip(_plain_sum(*plain)))
+        ids.append(pid)
     return _store(key, interval, ids)
+
+
+def _plain_sum(c: int, sv_id: int, v_id: int) -> list[int]:
+    """q^(1-c) P(s.v, s.w) + q^c P(v, s.w), from the two ids (-1 for zero)."""
+    acc: list[int] = []
+    if sv_id >= 0:
+        _add_shifted(acc, _polys[sv_id], 1 - c)
+    if v_id >= 0:
+        _add_shifted(acc, _polys[v_id], c)
+    return acc
 
 
 def _store(key: tuple[int, int], interval: array, ids: list[int]) -> tuple[array, array]:

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "Poly",
+    "integer_row",
     "matrix_rank",
     "poly_add",
     "poly_canonical",
@@ -39,23 +40,33 @@ _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
-def reduce_row(pivots: dict[int, list[int]], row: Sequence[Rational]) -> int | None:
-    """Reduce one rational row against an echelon basis, fraction-free.
+def integer_row(row: Sequence[Rational]) -> list[int]:
+    """A rational row scaled to ints by the least common multiple of its denominators.
 
-    ``pivots`` maps a column to the stored basis row whose last nonzero
-    entry sits in it.  The row is first scaled to integers by the least
-    common multiple of its denominators, then each step replaces it by
-    a.row - b.pivot, which zeroes its last nonzero entry (Bareiss-style:
-    no division, so ints stay ints).  A row left nonzero joins the basis,
-    divided by the gcd of its entries, and its column is returned; a row in
-    the span returns None.  Scaling a row never changes the span, so the
-    basis spans the same space as the rows fed in.
+    Scaling never changes the span, so rank conditions read off the scaled
+    rows are those of the original rows.
     """
     den = lcm(*map(_denominator, row))
     if den == 1:
-        work = list(map(_numerator, row))
-    else:
-        work = [x.numerator * (den // x.denominator) for x in row]
+        return list(map(_numerator, row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def reduce_row(pivots: dict[int, list[int]], row: list[int]) -> int | None:
+    """Reduce one int row against an echelon basis, fraction-free.
+
+    ``pivots`` maps a column to the stored basis row whose last nonzero
+    entry sits in it.  Each step replaces the row by a.row - b.pivot, which
+    zeroes its last nonzero entry (Bareiss-style: no division, so ints stay
+    ints).  Entries right of a row's lead are zero in both rows, so a step
+    rewrites only the columns left of the lead, and rows (the input and the
+    stored ones) may be short: a missing entry is zero.  A row left nonzero
+    joins the basis, cut after its lead and divided by the gcd of its
+    entries, and its column is returned; a row in the span returns None.
+    The basis spans the same space as the rows fed in.  Rational rows go
+    through :func:`integer_row` first.
+    """
+    work = row
     lead = len(work) - 1
     while lead >= 0:
         if not work[lead]:
@@ -63,13 +74,14 @@ def reduce_row(pivots: dict[int, list[int]], row: Sequence[Rational]) -> int | N
             continue
         pivot = pivots.get(lead)
         if pivot is None:
+            work = work[: lead + 1]
             g = gcd(*work)
             pivots[lead] = [x // g for x in work] if g != 1 else work
             return lead
         a, b = pivot[lead], work[lead]
         g = gcd(a, b)
         a, b = a // g, b // g
-        work = [a * x - b * y for x, y in zip(work, pivot)]
+        work = [a * x - b * y for x, y in zip(work[:lead], pivot)]
         lead -= 1
     return None
 
@@ -78,7 +90,7 @@ def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank of a small dense matrix over the rationals, by integer elimination."""
     pivots: dict[int, list[int]] = {}
     for row in rows:
-        reduce_row(pivots, row)
+        reduce_row(pivots, integer_row(row))
     return len(pivots)
 
 

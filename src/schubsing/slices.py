@@ -18,6 +18,14 @@ Sample points are integral (the quadric sampler scales its point to clear
 the one denominator), and membership of a flag in X_w is decided by rank
 conditions read off a fraction-free integer echelon form, so every check
 below is exact: no floating point, and no rational arithmetic either.
+
+Membership has one kernel, :func:`_member`, fed int rows and w's binding
+rank conditions row by row.  :func:`in_schubert` scales a flag's rows to
+ints and feeds them in.  :func:`verify_slice` builds a chart template once
+per slice (v's base rows, each row cut after its last free column, and the
+free slots of each row) plus w's conditions, and tests every cone and
+off-cone point by filling the template: no :class:`FlagMatrix` and no rank
+table per point.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from typing import Sequence
 from .components import Cell, Component, SliceStructureError, classify_component
 from .linalg import (
     Poly,
+    integer_row,
+    matrix_rank,
     poly_canonical,
     poly_eval,
     poly_is_homogeneous_quadratic,
@@ -186,12 +196,16 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
     n = v.n
     free = free_coordinates(v, w)
     var_of = {cell: i for i, cell in enumerate(free)}
-
-    def entry(j: int, k: int) -> Poly:
-        if k == v(j):
-            return {(): 1}
-        var = var_of.get((j, k))
-        return poly_var(var) if var is not None else {}
+    # The chart entries as polynomials, built once and shared by every minor
+    # (sym_det never mutates its entries); index 0 pads rows and columns.
+    one: Poly = {(): 1}
+    grid = [[]] + [
+        [{}] + [
+            one if k == vj else poly_var(var_of[j, k]) if (j, k) in var_of else {}
+            for k in range(1, n + 1)
+        ]
+        for j, vj in enumerate(v.values, start=1)
+    ]
 
     rw = rank_table(w)
     expanded: set[tuple] = set()
@@ -203,13 +217,13 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
             size = bound + 1
             if size > min(p, n - q):
                 continue
-            _collect_minors(entry, p, q, n, size, expanded, seen, eqs)
+            _collect_minors(grid, p, q, n, size, expanded, seen, eqs)
     eqs.sort(key=poly_canonical)
     return eqs
 
 
 def _collect_minors(
-    entry, p: int, q: int, n: int, size: int, expanded, seen, eqs
+    grid, p: int, q: int, n: int, size: int, expanded, seen, eqs
 ) -> None:
     """Add the new size x size minors of rows 1..p against columns q+1..n.
 
@@ -222,7 +236,7 @@ def _collect_minors(
             if (rowsel, colsel) in expanded:
                 continue
             expanded.add((rowsel, colsel))
-            det = sym_det([[entry(j, k) for k in colsel] for j in rowsel])
+            det = sym_det([[grid[j][k] for k in colsel] for j in rowsel])
             det.pop((), None)  # constant terms vanish identically here
             if not det:
                 continue
@@ -265,40 +279,115 @@ def trivial_slice(v: Permutation) -> SliceModel:
 def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
     """Fill the chart of v with an assignment of the free coordinates."""
     n = s.v.n
-    grid = [[0] * n for _ in range(n)]
-    for row, vj in zip(grid, s.v.values):
-        row[vj - 1] = 1
-    for value, (j, k) in zip(assignment, s.free):
-        grid[j - 1][k - 1] = value
-    return FlagMatrix(n, tuple(tuple(row) for row in grid))
+    rows = _chart_rows(_chart(s.v, s.free), assignment)
+    return FlagMatrix(n, tuple(tuple(row) + (0,) * (n - len(row)) for row in rows))
 
 
 def in_schubert(w: Permutation, flag: FlagMatrix) -> bool:
     """Exact membership of a flag in X_w by rank conditions.
 
     For every p, q the span of the first p generators must meet the span of
-    the first q coordinate vectors in dimension at least r_w(p, q).  The
-    generators are reduced one by one to an echelon form keyed by each
-    row's last nonzero column (:func:`schubsing.linalg.reduce_row`).
+    the first q coordinate vectors in dimension at least r_w(p, q).  Rational
+    rows are scaled to ints, then run through :func:`_member`.  A flag of
+    the wrong size, or whose rows are linearly dependent (so not a flag),
+    raises ``ValueError``.
     """
-    if flag.n != w.n:
-        raise ValueError(f"size mismatch: flag {flag.n} vs permutation {w.n}")
+    n = w.n
+    if flag.n != n:
+        raise ValueError(f"size mismatch: flag {flag.n} vs permutation {n}")
+    if len(flag.rows) != n or any(len(row) != n for row in flag.rows):
+        raise ValueError(f"a flag in dimension {n} needs {n} rows of {n} entries")
+    rows = [integer_row(row) for row in flag.rows]
+    inside = _member(_caps(w), rows)
+    # _member stops at the first broken condition, before it has seen every
+    # row; only then does independence need a rank computation of its own.
+    if inside is None or (not inside and matrix_rank(rows) < n):
+        raise ValueError("the rows of a flag must be linearly independent")
+    return inside
+
+
+def _caps(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The binding rank conditions of X_w, row by row.
+
+    Entry p - 1 lists the pairs (q, p - r_w(p, q)): the span of the first p
+    generators may have at most p - r_w(p, q) echelon leads in the columns
+    after q.  Pairs with r_w(p, q) = 0, or with p - r_w(p, q) >= n - q (there
+    are only n - q such columns), hold for every flag and are left out.
+    """
     n = w.n
     rw = rank_table(w)
+    return tuple(
+        tuple(
+            (q, p - rw[p][q])
+            for q in range(1, n)
+            if rw[p][q] and p - rw[p][q] < n - q
+        )
+        for p in range(1, n + 1)
+    )
+
+
+def _member(caps, rows: Sequence[list[int]]) -> bool | None:
+    """Whether int generator rows satisfy the rank conditions ``caps``.
+
+    The rank-condition loop behind :func:`in_schubert` and the slice checks.
+    Rows are reduced one by one to an echelon form keyed by each row's last
+    nonzero column (:func:`schubsing.linalg.reduce_row`); they may be short.
+    Returns False at the first broken condition, and None if a row falls
+    in the span of the rows before it.
+    """
     pivots: dict[int, list[int]] = {}
     # above[q] = #{pivot columns >= q}; 0-indexed pivot column c stands for
-    # coordinate c+1, so dim(W_p meet V_q) = p - above[q].
-    above = [0] * (n + 1)
-    for p in range(1, n + 1):
-        lead = reduce_row(pivots, flag.rows[p - 1])
-        if lead is not None:
-            for q in range(lead + 1):
-                above[q] += 1
-        rwp = rw[p]
-        for q in range(1, n):
-            if p - above[q] < rwp[q]:
+    # coordinate c + 1, so it counts the leads in the columns after q.
+    above = [0] * len(caps)
+    for row_caps, row in zip(caps, rows):
+        lead = reduce_row(pivots, row)
+        if lead is None:
+            return None
+        for q in range(lead + 1):
+            above[q] += 1
+        for q, cap in row_caps:
+            if above[q] > cap:
                 return False
     return True
+
+
+def _chart(v: Permutation, free: Sequence[Cell]) -> tuple[tuple[list[int], tuple], ...]:
+    """The chart of v as a template: per row, its fixed entries and free slots.
+
+    Row j holds its chart 1 in column v(j) and is cut after its last column
+    that may be nonzero; its slots pair a 0-indexed column with the index of
+    the free coordinate that fills it.
+    """
+    slots: list[list[tuple[int, int]]] = [[] for _ in range(v.n)]
+    for i, (j, k) in enumerate(free):
+        slots[j - 1].append((k - 1, i))
+    chart = []
+    for vj, row_slots in zip(v.values, slots):
+        base = [0] * max([vj] + [col + 1 for col, _ in row_slots])
+        base[vj - 1] = 1
+        chart.append((base, tuple(row_slots)))
+    return tuple(chart)
+
+
+def _chart_rows(chart, assignment: Sequence[int]) -> list[list[int]]:
+    """The generator rows of the chart point with these free coordinates."""
+    rows = []
+    for base, row_slots in chart:
+        row = base.copy()
+        for col, i in row_slots:
+            row[col] = assignment[i]
+        rows.append(row)
+    return rows
+
+
+def _membership(model: SliceModel):
+    """Exact membership in X_w of the slice's chart points, as a predicate.
+
+    The chart and the rank conditions are built once, so a point costs one
+    int elimination and no :class:`FlagMatrix`.
+    """
+    chart, caps = _chart(model.v, model.free), _caps(model.w)
+    return lambda assignment: _member(caps, _chart_rows(chart, assignment))
 
 
 def _rng(seed: int, tag: str, v: Permutation, w: Permutation) -> random.Random:
@@ -372,16 +461,17 @@ def verify_slice(
     cone = sample_cone(model, trials, seed)
     off = _sample_off_cone(model, trials, seed)
 
+    member = _membership(model)
     containment_ok = True
     for assignment in cone:
-        if not in_schubert(w, embed_point(model, assignment)):
+        if not member(assignment):
             containment_ok = False
             failures.append(f"containment: cone point {assignment} escapes X_w")
             break
 
     exclusion_ok = True
     for assignment in off:
-        if in_schubert(w, embed_point(model, assignment)):
+        if member(assignment):
             exclusion_ok = False
             failures.append(f"exclusion: off-cone point {assignment} lies in X_w")
             break

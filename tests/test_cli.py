@@ -292,6 +292,13 @@ def test_verify_all_n6_stdout_is_pinned(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "c6b06fd3dd161bc8243edfc35bef8a35"
 
 
+def test_verify_all_n6_held_out_seed_stdout_is_pinned(capsys):
+    """The held-out seed sends another 61,300 sample points through the membership test."""
+    code, out, err = run_cli(capsys, "verify-all", "--n", "6", "--seed", "2718")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "aaea51fca3c19952467c8507774ce95f"
+
+
 def test_verify_all_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify-all", "--n", "3")
     _, second, _ = run_cli(capsys, "verify-all", "--n", "3")

@@ -2,7 +2,8 @@
 
 The slice checks run in Python ints: integral cone samples (the 3412*
 sampler scales its point by a0 to clear the one denominator), fraction-free
-elimination in ``in_schubert`` and ``matrix_rank``.  The reference functions
+elimination in ``in_schubert``, in the chart template ``verify_slice`` tests
+its points with, and in ``matrix_rank``.  The reference functions
 below are the ``fractions.Fraction`` versions they replaced; every verdict
 and rank must agree with them.
 """
@@ -18,6 +19,7 @@ from schubsing.components import QuadricComponent
 from schubsing.linalg import matrix_rank
 from schubsing.perms import rank_table
 from schubsing.slices import (
+    _membership,
     _rng,
     _sample_off_cone,
     build_slice,
@@ -87,6 +89,15 @@ def reference_in_schubert(w, rows):
     return True
 
 
+def reference_rows(model, point):
+    """The chart of v filled with a point of the slice, built cell by cell."""
+    n = model.v.n
+    rows = [[Fraction(int(k == model.v(j))) for k in range(1, n + 1)] for j in range(1, n + 1)]
+    for value, (j, k) in zip(point, model.free, strict=True):
+        rows[j - 1][k - 1] = Fraction(value)
+    return rows
+
+
 def reference_quadric_sample(frame, free, rng):
     """The unscaled 3412* cone point: the solved coordinate is -rest / a0."""
     pairs = frame.pairs
@@ -108,9 +119,11 @@ def small_pairs():
 
 
 def test_membership_matches_fraction_reference(small_pairs):
+    """``in_schubert`` and the chart-template path of ``verify_slice`` on every point."""
     cone_points = off_points = 0
     for w, c in small_pairs:
         model = build_slice(c, w)  # its determinantal model is never read here
+        member = _membership(model)
         cone = sample_cone(model, TRIALS, SEED)
         if isinstance(c, QuadricComponent):
             rng = _rng(SEED, "cone", c.v, w)
@@ -126,17 +139,16 @@ def test_membership_matches_fraction_reference(small_pairs):
         for point, old in zip(cone, reference):
             assert all(type(x) is int for x in point)
             flag = embed_point(model, point)
-            ref_flag = embed_point(model, old)
-            assert in_schubert(w, flag) == reference_in_schubert(w, ref_flag.rows), (
-                w.values, c.v.values, point,
-            )
+            expected = reference_in_schubert(w, reference_rows(model, old))
+            assert in_schubert(w, flag) == expected, (w.values, c.v.values, point)
+            assert member(point) == expected, (w.values, c.v.values, point)
             cone_points += 1
         for point in _sample_off_cone(model, TRIALS, SEED):
             assert all(type(x) is int for x in point)
             flag = embed_point(model, point)
-            assert in_schubert(w, flag) == reference_in_schubert(w, flag.rows), (
-                w.values, c.v.values, point,
-            )
+            expected = reference_in_schubert(w, reference_rows(model, point))
+            assert in_schubert(w, flag) == expected, (w.values, c.v.values, point)
+            assert member(point) == expected, (w.values, c.v.values, point)
             off_points += 1
     assert cone_points == off_points == TRIALS * len(small_pairs)
 
@@ -164,14 +176,19 @@ _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 @st.composite
 def _rational_matrices(draw):
-    """Products (m x r)(r x ncols), so ranks below full occur often."""
+    """Products (m x r)(r x ncols), so ranks below full occur often.
+
+    Half the matrices hold plain ints, half ``Fraction`` entries.
+    """
+    entries = st.integers(-6, 6) if draw(st.booleans()) else _rationals
+    zero = Fraction(0) if entries is _rationals else 0
     ncols = draw(st.integers(1, 5))
     inner = draw(st.integers(1, 3))
     nrows = draw(st.integers(0, 5))
-    basis = [draw(st.lists(_rationals, min_size=ncols, max_size=ncols)) for _ in range(inner)]
-    coeffs = [draw(st.lists(_rationals, min_size=inner, max_size=inner)) for _ in range(nrows)]
+    basis = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(inner)]
+    coeffs = [draw(st.lists(entries, min_size=inner, max_size=inner)) for _ in range(nrows)]
     return [
-        [sum((a * row[col] for a, row in zip(coeff, basis)), Fraction(0)) for col in range(ncols)]
+        [sum((a * row[col] for a, row in zip(coeff, basis)), zero) for col in range(ncols)]
         for coeff in coeffs
     ]
 

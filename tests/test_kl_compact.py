@@ -156,6 +156,7 @@ def test_ids_widen_past_byte_limit(monkeypatch, fresh_memo):
     monkeypatch.setattr(kl, "_ID_LIMITS", (("B", 2), ("H", 4)))
     monkeypatch.setattr(kl, "_polys", [])
     monkeypatch.setattr(kl, "_poly_ids", {})
+    monkeypatch.setattr(kl, "_plain_ids", {})  # its ids index the real _polys
     limits = {"B": 2, "H": 4, "i": 1 << 31}
     group = symmetric_group(5)
     memo, mu_memo = {}, {}
@@ -177,4 +178,17 @@ def test_interning_keeps_ids_across_cache_clears(fresh_memo):
     assert kl_recursion(v, w) == (1, 1)
     assert kl._polys[: len(interned)] == interned
     assert len(set(kl._polys)) == len(kl._polys)
+
+
+def test_plain_entry_memo_survives_cache_clears(fresh_memo):
+    """Entries without a mu correction are memoized on (c, id, id), and the memo is kept."""
+    group = symmetric_group(6)
+    first = [kl._kl_table(group, wi) for wi in range(group.order)]
+    plain = dict(kl._plain_ids)
+    assert 0 < len(plain) < 100
+    assert all(kl._polys[pid] == kl._strip(kl._plain_sum(*k)) for k, pid in plain.items())
+    kl.clear_kl_cache()
+    assert kl._plain_ids == plain
+    again = [kl._kl_table(group, wi) for wi in range(group.order)]
+    assert again == first
 

@@ -224,6 +224,40 @@ def test_membership_size_mismatch():
         in_schubert(make_permutation([2, 1, 3]), perm_flag(make_permutation([1, 2])))
 
 
+@pytest.mark.parametrize("values", [(3, 2, 1), (1, 2, 3), (2, 1, 3)])
+def test_membership_rejects_zero_matrix(values):
+    """The all-zero matrix is no flag, whatever w is."""
+    zero = schubsing.slices.FlagMatrix(3, ((0, 0, 0),) * 3)
+    with pytest.raises(ValueError, match="linearly independent"):
+        in_schubert(make_permutation(list(values)), zero)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 0), (0, 1), (1, 1)),  # rows of width 2
+        ((1, 0, 0), (0, 1, 0)),  # two rows
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),  # four rows
+    ],
+)
+def test_membership_rejects_misshapen_flags(rows):
+    flag = schubsing.slices.FlagMatrix(3, rows)
+    for w in all_perms(3):
+        with pytest.raises(ValueError, match="needs 3 rows of 3 entries"):
+            in_schubert(w, flag)
+
+
+def test_membership_rejects_dependent_rows_after_a_broken_condition():
+    """Row 1 already breaks X_123's conditions; rows 1 and 2 are still dependent."""
+    flag = schubsing.slices.FlagMatrix(3, ((0, 0, 1), (0, 0, 2), (1, 0, 0)))
+    with pytest.raises(ValueError, match="linearly independent"):
+        in_schubert(make_permutation([1, 2, 3]), flag)
+    # The same first row in a genuine flag is an answer, not an error.
+    flag = schubsing.slices.FlagMatrix(3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    assert in_schubert(make_permutation([1, 2, 3]), flag) is False
+    assert in_schubert(make_permutation([3, 2, 1]), flag) is True
+
+
 def test_vertex_always_contained():
     for v in all_perms(4):
         flag = perm_flag(v)
@@ -313,6 +347,29 @@ def test_failure_witness_prints_plain_integers(monkeypatch):
     assert len(point) == 4 and all(type(x) is int for x in point)
 
 
+def test_exclusion_reads_the_rank_conditions(monkeypatch):
+    """With no rank conditions every chart point is in X_w, so exclusion must fail.
+
+    ``in_schubert`` runs the same conditions through the same kernel.
+    """
+    monkeypatch.setattr(schubsing.slices, "_caps", lambda w: ((),) * w.n)
+    w = make_permutation([3, 4, 1, 2])
+    c = classify_component(make_permutation([1, 3, 2, 4]), w)
+    verdict = verify_slice(c, w, trials=3, seed=101)
+    assert verdict.containment_ok and not verdict.exclusion_ok
+    assert verdict.failures[0].startswith("exclusion: off-cone point (")
+    assert in_schubert(make_permutation([1, 2, 3, 4]), perm_flag(w))
+
+
+def test_verify_slice_builds_no_flag_per_point(monkeypatch):
+    def no_flags(*args):
+        raise AssertionError("verify_slice built a FlagMatrix")
+
+    monkeypatch.setattr(schubsing.slices, "FlagMatrix", no_flags)
+    for w, c in component_pairs(4):
+        assert verify_slice(c, w, trials=5, seed=101).ok
+
+
 def test_sampler_violation_is_a_witness(monkeypatch):
     """A cone sampler off its own equations is a slice-structure failure."""
     monkeypatch.setattr(
@@ -385,6 +442,21 @@ def test_determinantal_model_expands_each_selection_once(monkeypatch):
     model = build_slice(c, w)
     names = equation_strings(model, eqs)
     assert names == equation_strings(model, expected) and len(names) == len(set(names))
+
+
+def test_determinantal_model_builds_each_chart_entry_once(monkeypatch):
+    """One polynomial per free coordinate, shared by every minor that reads it."""
+    calls = []
+
+    def counting_var(i):
+        calls.append(i)
+        return poly_var(i)
+
+    monkeypatch.setattr(schubsing.slices, "poly_var", counting_var)
+    v = make_permutation([1, 2, 4, 3, 5, 6])
+    w = make_permutation([1, 4, 5, 2, 3, 6])
+    eqs = determinantal_model(v, w)
+    assert eqs and sorted(calls) == list(range(len(free_coordinates(v, w))))
 
 
 def test_determinantal_model_of_equal_pair_empty():
