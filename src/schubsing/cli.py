@@ -18,7 +18,6 @@ import sys
 from .components import (
     ClassificationError,
     SliceStructureError,
-    classify_component,
     components_from_patterns,
 )
 from .kl import kl_recursion
@@ -33,7 +32,7 @@ from .slices import (
     slice_report,
 )
 from .sweep import WorkerCrashError, verify_all, verify_permutation
-from .tangent import singular_components, tangent_dimension
+from .tangent import tangent_dimension
 
 __all__ = ["main"]
 
@@ -138,10 +137,10 @@ def cmd_kl(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
     if _over_cap("kl", v, w):
         return 2
-    recursion = kl_recursion(v, w)
-    closed: tuple[int, ...] | None = None
-    if v != w and v in singular_components(w):
-        closed = classify_component(v, w).kl_closed_form()
+    recursion = kl_recursion(v, w)  # also checks v <= w, and n <= 9
+    closed = next(
+        (c.kl_closed_form() for c in components_from_patterns(w) if c.v == v), None
+    )
     _print(
         {
             "v": format_permutation(v),

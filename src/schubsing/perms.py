@@ -216,24 +216,25 @@ def rank_excess_region(v: Permutation, w: Permutation) -> frozenset[tuple[int, i
 def parse_permutation(text: str) -> Permutation:
     """Parse "4,2,3,1" (any size) or compact "4231" (single digits, n <= 9).
 
+    Values are written with the ASCII digits 0-9 only; comma-separated
+    values may carry surrounding whitespace.
+
     >>> parse_permutation("4,2,3,1").values
     (4, 2, 3, 1)
     >>> parse_permutation("4231").values
     (4, 2, 3, 1)
+    >>> parse_permutation("+2,1")
+    Traceback (most recent call last):
+        ...
+    ValueError: malformed permutation: '+2,1'
     """
     text = text.strip()
     if not text:
         raise ValueError("empty permutation")
-    if "," in text:
-        try:
-            vals = [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed permutation: {text!r}") from None
-    elif text.isdigit():
-        vals = [int(ch) for ch in text]
-    else:
+    tokens = [tok.strip() for tok in text.split(",")] if "," in text else list(text)
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ValueError(f"malformed permutation: {text!r}")
-    return make_permutation(vals)
+    return make_permutation(int(tok) for tok in tokens)
 
 
 def format_permutation(w: Permutation) -> str:

@@ -8,8 +8,10 @@ rank-excess region of the pair; these are the free coordinates.
 
 Two independent equation models are built over the free coordinates:
 
-* the determinantal model: for every cell (p, q) of the excess region, all
-  minors of size p - r_w(p, q) + 1 of rows 1..p against columns q+1..n;
+* the determinantal model: for every binding rank condition (p, q) of X_w,
+  all minors of size p - r_w(p, q) + 1 of rows 1..p against columns
+  q+1..n.  A pair without free coordinates (only v = w) has no minors:
+  every chart entry is 0 or 1, so every minor is constant;
 * the closed model, read off the component type: the 2 x 2 minors of a
   rank-one matrix of free coordinates (4231 and 3412empty types), or one
   nondegenerate quadric (3412* type).
@@ -19,13 +21,15 @@ the one denominator), and membership of a flag in X_w is decided by rank
 conditions read off a fraction-free integer echelon form, so every check
 below is exact: no floating point, and no rational arithmetic either.
 
-Membership has one kernel, :func:`_member`, fed int rows and w's binding
-rank conditions row by row.  :func:`in_schubert` scales a flag's rows to
-ints and feeds them in.  :func:`verify_slice` builds a chart template once
-per slice (v's base rows, each row cut after its last free column, and the
-free slots of each row) plus w's conditions, and tests every cone and
-off-cone point by filling the template: no :class:`FlagMatrix` and no rank
-table per point.
+X_w's binding rank conditions have one enumeration, :func:`_caps`, which
+feeds both the minors and membership.  Membership has one kernel,
+:func:`_member`, fed int rows and those conditions row by row.
+:func:`in_schubert` scales a flag's rows to ints and feeds them in.
+:func:`verify_slice` reads everything from one :class:`SliceModel`: it
+builds a chart template once per slice (v's base rows, each row cut after
+its last free column, and the free slots of each row) plus w's conditions,
+and tests every cone and off-cone point by filling the template: no
+:class:`FlagMatrix` and no rank table per point.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class FlagMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceModel:
     """Both equation models of one slice, over its free coordinates.
 
@@ -183,18 +187,20 @@ def free_coordinates(v: Permutation, w: Permutation) -> list[Cell]:
 def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
     """Minor equations cutting out the variety on the slice chart.
 
-    Every rank condition of the variety contributes its minors: at cell
-    (p, q) the rows 1..p against columns q+1..n may have rank at most
-    p - r_w(p, q), so all minors one size larger vanish.  Fixed chart
-    entries are substituted by their 0/1 values; variables are indexed by
-    position in ``free_coordinates(v, w)``; constant and duplicate minors
-    are dropped.  The common vanishing set is exactly the set of chart
-    assignments whose flag lies in the variety.
+    Every binding rank condition of the variety (:func:`_caps`) contributes
+    its minors: at cell (p, q) the rows 1..p against columns q+1..n may
+    have rank at most p - r_w(p, q), so all minors one size larger vanish.
+    Fixed chart entries are substituted by their 0/1 values; variables are
+    indexed by position in ``free_coordinates(v, w)``; constant and
+    duplicate minors are dropped.  The common vanishing set is exactly the
+    set of chart assignments whose flag lies in the variety.
     """
     if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
     n = v.n
     free = free_coordinates(v, w)
+    if not free:  # only v = w: every chart entry is 0 or 1, every minor constant
+        return []
     var_of = {cell: i for i, cell in enumerate(free)}
     # The chart entries as polynomials, built once and shared by every minor
     # (sym_det never mutates its entries); index 0 pads rows and columns.
@@ -207,17 +213,12 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
         for j, vj in enumerate(v.values, start=1)
     ]
 
-    rw = rank_table(w)
     expanded: set[tuple] = set()
     seen: set[tuple] = set()
     eqs: list[Poly] = []
-    for p in range(1, n + 1):
-        for q in range(1, n):
-            bound = p - rw[p][q]
-            size = bound + 1
-            if size > min(p, n - q):
-                continue
-            _collect_minors(grid, p, q, n, size, expanded, seen, eqs)
+    for p, row_caps in enumerate(_caps(w), start=1):
+        for q, cap in row_caps:
+            _collect_minors(grid, p, q, n, cap + 1, expanded, seen, eqs)
     eqs.sort(key=poly_canonical)
     return eqs
 
@@ -271,9 +272,7 @@ def build_slice(c: Component, w: Permutation) -> SliceModel:
 
 def trivial_slice(v: Permutation) -> SliceModel:
     """The slice of the pair (v, v): a point, no coordinates, no equations."""
-    model = SliceModel(v, v, None, (), (), None)
-    model.determinantal_equations = ()  # fills the cache: no minors to compute
-    return model
+    return SliceModel(v, v, None, (), (), None)
 
 
 def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
@@ -433,15 +432,12 @@ def _sample_off_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, .
 
 
 def verify_slice(
-    c: Component,
-    w: Permutation,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    model: SliceModel | None = None,
+    model: SliceModel, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> SliceVerdict:
-    """Run the five exact checks tying the slice model to X_w itself."""
-    if model is None:
-        model = build_slice(c, w)
+    """Run the five exact checks tying a component's slice model to X_w itself."""
+    c, w = model.component, model.w
+    if c is None:
+        raise ValueError("only a component's slice has checks to run")
     failures: list[str] = []
     # m(w, v) - length(v), with m(w, v) as counted when c was classified.
     expected_dim = c.codim + c.excess
@@ -529,25 +525,14 @@ def slice_report(
     trivial slice with a vacuous verdict; other pairs get free coordinates
     and the determinantal model only (no closed model exists for them).
     """
-    verdict: SliceVerdict | None = None
-    if v == w:
-        model = trivial_slice(v)
-        verdict = SliceVerdict(True, True, True, True, True, samples=0)
-    elif not bruhat_leq(v, w):
+    if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
-    elif v in singular_components(w):
-        c = classify_component(v, w)
-        model = build_slice(c, w)
-        verdict = verify_slice(c, w, trials=trials, seed=seed, model=model)
+    if v != w and v in singular_components(w):
+        model = build_slice(classify_component(v, w), w)
+        verdict = verify_slice(model, trials, seed)
     else:
-        model = SliceModel(
-            v=v,
-            w=w,
-            component=None,
-            free=tuple(free_coordinates(v, w)),
-            closed_equations=(),
-            frame=None,
-        )
+        model = SliceModel(v, w, None, tuple(free_coordinates(v, w)), (), None)
+        verdict = SliceVerdict(True, True, True, True, True, samples=0) if v == w else None
     return {
         "free": [list(cell) for cell in model.free],
         "type": None if model.component is None else model.component.ctype,

@@ -63,8 +63,7 @@ def verify_permutation(
         entry["kl_recursion"] = list(recursion)
         entry["kl_ok"] = closed == recursion
         try:
-            model = build_slice(c, w)
-            verdict = verify_slice(c, w, trials=trials, seed=seed, model=model)
+            verdict = verify_slice(build_slice(c, w), trials=trials, seed=seed)
             entry["slice_ok"] = verdict.ok
             entry["slice_failures"] = list(verdict.failures)
             entry["slice_error"] = None

@@ -170,12 +170,10 @@ class SymmetricGroup:
         self.n = n
         self.order = factorial(n)
         self.tlen = (n + 1) * (n + 1)
-        # Transpositions as 0-based position pairs; tprod holds the index of
-        # v.t (swap the two positions in one-line notation) for every v, t.
-        self.transpositions: tuple[tuple[int, int], ...] = tuple(
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        )
-        self.ntrans = len(self.transpositions)
+        # tprod holds the index of v.t (swap two positions in one-line
+        # notation) for every v and every transposition t; its columns take
+        # the 0-based position pairs (i, j), i < j, in lexicographic order.
+        self.ntrans = n * (n - 1) // 2
         self.tables, self.lengths, self.tprod = _lex_arrays(n)
         self._columns = self._build_columns()
 

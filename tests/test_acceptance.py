@@ -201,7 +201,7 @@ def test_criterion_5_slice_verification(capsys):
     for n in SWEEP_SIZES:
         for w, c in component_pairs(n):
             pairs += 1
-            verdict = verify_slice(c, w, trials=50, seed=DEFAULT_SEED)
+            verdict = verify_slice(build_slice(c, w), trials=50, seed=DEFAULT_SEED)
             if not verdict.ok:
                 failures.append((w.values, c.v.values, verdict.failures))
     elapsed = time.perf_counter() - start
@@ -241,7 +241,7 @@ def test_criterion_6_spot_values(capsys):
         c = classify_component(make_permutation([1, 3, 2, 4]), w)
         if (c.ctype, c.l, c.codim, c.excess) != ("3412*", 0, 3, 1):
             problems.append("3412 classification wrong")
-        verdict = verify_slice(c, w, trials=20, seed=DEFAULT_SEED)
+        verdict = verify_slice(build_slice(c, w), trials=20, seed=DEFAULT_SEED)
         if not verdict.dim_ok or length(w) - length(c.v) != 3:
             problems.append("3412 quadric cone dimension is not 3")
 

@@ -257,8 +257,7 @@ def test_kl_slice_report_n_cap(capsys, monkeypatch):
 
     for name in (
         "kl_recursion",
-        "singular_components",
-        "classify_component",
+        "components_from_patterns",
         "slice_report",
         "verify_permutation",
     ):
@@ -321,22 +320,17 @@ def test_slice_output_deterministic(capsys):
 
 
 def test_subprocess_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "schubsing", "smooth", "4231"],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
+    proc = _run_python("-m", "schubsing", "smooth", "4231")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["smooth"] is False
 
 
-def _run_script(script):
-    """Run Python source in a fresh interpreter that imports this schubsing."""
+def _run_python(*argv):
+    """Run a fresh interpreter that imports this checkout's schubsing."""
     src = os.path.dirname(os.path.dirname(schubsing.sweep.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -369,7 +363,7 @@ sys.exit(main(["verify-all", "--n", "4", "--trials", "1", "--jobs", "2"]))
     reason="needs two CPUs and fork-started workers that inherit the patch",
 )
 def test_dead_worker_exits_1():
-    proc = _run_script(DYING_WORKER)
+    proc = _run_python("-c", DYING_WORKER)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -378,7 +372,8 @@ def test_dead_worker_exits_1():
 
 
 def test_import_loads_no_process_machinery():
-    proc = _run_script(
+    proc = _run_python(
+        "-c",
         "import json, sys\n"
         "import schubsing\n"
         "from schubsing.cli import main\n"
@@ -393,7 +388,8 @@ def test_import_loads_no_process_machinery():
 def test_sweep_loads_no_rational_arithmetic():
     # Slice verification runs in ints end to end; `fractions` creeping back
     # into the hot path would show up as an import.
-    proc = _run_script(
+    proc = _run_python(
+        "-c",
         "import sys\n"
         "import schubsing\n"
         "from schubsing.cli import main\n"
@@ -409,7 +405,8 @@ def test_sweep_loads_no_rational_arithmetic():
 def test_singular_locus_builds_no_group():
     # n = 9 used to take seconds for S_9's tables; the pattern route builds
     # no symmetric group and no determinantal model.
-    proc = _run_script(
+    proc = _run_python(
+        "-c",
         "import json, sys\n"
         "import schubsing.slices, schubsing.symgroup\n"
         "from schubsing.cli import main\n"

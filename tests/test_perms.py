@@ -269,12 +269,27 @@ def test_region_frozen_example():
 def test_parse_both_forms():
     assert parse_permutation("4,2,3,1").values == (4, 2, 3, 1)
     assert parse_permutation("4231").values == (4, 2, 3, 1)
+    assert parse_permutation(" 2, 1").values == (2, 1)
+    assert parse_permutation("3 ,1,\t2 ").values == (3, 1, 2)
 
 
 def test_parse_rejects_garbage():
     for bad in ("", "abc", "1,2,2", "0,1", "12x"):
         with pytest.raises(ValueError):
             parse_permutation(bad)
+    # Signs, underscores and non-ASCII digits: int() accepts most of these.
+    for bad in ("４２３１", "2,1_0,3,4,5,6,7,8,9,1", "+2,1", "²³¹", "2,-1", "2,١"):
+        with pytest.raises(ValueError, match="malformed permutation"):
+            parse_permutation(bad)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789 ,+-_²٣４")))
+def test_parse_either_rejects_or_round_trips(text):
+    try:
+        w = parse_permutation(text)
+    except ValueError:
+        return
+    assert parse_permutation(format_permutation(w)) == w
 
 
 @given(perm_strategy)

@@ -193,7 +193,7 @@ def test_degenerate_quadric_fails_dim():
         frame=truncated,
         closed_equations=tuple(c.closed_equations(truncated, var_of)),
     )
-    verdict = verify_slice(c, w, trials=3, seed=101, model=broken)
+    verdict = verify_slice(broken, trials=3, seed=101)
     assert not verdict.dim_ok
     assert "dim: quadric rank 2, expected 4" in verdict.failures
 
@@ -329,7 +329,7 @@ def test_containment_monotone_in_w():
 @pytest.mark.parametrize("n", [4, 5])
 def test_verify_slice_all_pairs(n):
     for w, c in component_pairs(n):
-        verdict = verify_slice(c, w, trials=25, seed=101)
+        verdict = verify_slice(build_slice(c, w), trials=25, seed=101)
         assert verdict.ok, (w.values, c.v.values, verdict.failures)
 
 
@@ -338,7 +338,7 @@ def test_failure_witness_prints_plain_integers(monkeypatch):
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
     monkeypatch.setattr(schubsing.slices, "sample_cone", schubsing.slices._sample_off_cone)
-    verdict = verify_slice(c, w, trials=3, seed=101)
+    verdict = verify_slice(build_slice(c, w), trials=3, seed=101)
     assert not verdict.containment_ok
     witness = verdict.failures[0]
     assert witness.startswith("containment: cone point (")
@@ -355,10 +355,16 @@ def test_exclusion_reads_the_rank_conditions(monkeypatch):
     monkeypatch.setattr(schubsing.slices, "_caps", lambda w: ((),) * w.n)
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
-    verdict = verify_slice(c, w, trials=3, seed=101)
+    verdict = verify_slice(build_slice(c, w), trials=3, seed=101)
     assert verdict.containment_ok and not verdict.exclusion_ok
     assert verdict.failures[0].startswith("exclusion: off-cone point (")
     assert in_schubert(make_permutation([1, 2, 3, 4]), perm_flag(w))
+
+
+def test_verify_slice_needs_a_component():
+    v = make_permutation([2, 1, 4, 3])
+    with pytest.raises(ValueError, match="component"):
+        verify_slice(trivial_slice(v))
 
 
 def test_verify_slice_builds_no_flag_per_point(monkeypatch):
@@ -367,7 +373,7 @@ def test_verify_slice_builds_no_flag_per_point(monkeypatch):
 
     monkeypatch.setattr(schubsing.slices, "FlagMatrix", no_flags)
     for w, c in component_pairs(4):
-        assert verify_slice(c, w, trials=5, seed=101).ok
+        assert verify_slice(build_slice(c, w), trials=5, seed=101).ok
 
 
 def test_sampler_violation_is_a_witness(monkeypatch):
@@ -462,6 +468,46 @@ def test_determinantal_model_builds_each_chart_entry_once(monkeypatch):
 def test_determinantal_model_of_equal_pair_empty():
     v = make_permutation([2, 1, 4, 3])
     assert determinantal_model(v, v) == []
+
+
+def test_equal_pair_expands_no_minor(monkeypatch):
+    """Without free coordinates every minor is constant, so none is expanded.
+
+    Expanding them for this w would mean up to 15,337,270 selections.
+    """
+
+    def no_minors(matrix):
+        raise AssertionError("a minor was expanded")
+
+    monkeypatch.setattr(schubsing.slices, "sym_det", no_minors)
+    w = make_permutation([*range(11, 21), *range(1, 11)])
+    assert determinantal_model(w, w) == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_caps_select_the_rank_filter_cells(n):
+    """``_caps`` keeps exactly the cells whose minors can be nonconstant.
+
+    The reference is the determinantal model's former filter: a minor of
+    size p - r_w(p, q) + 1 fits rows 1..p and columns q+1..n.
+    """
+    for w in all_perms(n):
+        rw = rank_table(w)
+        expected = [
+            (p, q, p - rw[p][q])
+            for p in range(1, n + 1)
+            for q in range(1, n)
+            if p - rw[p][q] + 1 <= min(p, n - q)
+        ]
+        caps = schubsing.slices._caps(w)
+        assert [(p, q, cap) for p, row in enumerate(caps, 1) for q, cap in row] == expected
+
+
+def test_slice_model_is_frozen():
+    w = make_permutation([4, 2, 3, 1])
+    model = build_slice(classify_component(make_permutation([2, 1, 4, 3]), w), w)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.free = ()
 
 
 # ---------------------------------------------------------------------------
