@@ -47,6 +47,9 @@ _VERIFY_MAX_N = 7
 # lists every 4231 and 3412 occurrence, which grows as n^4.  kl, report and
 # slice (unless v = w) still build the whole group, which stops at n = 9.
 _QUERY_MAX_N = 20
+# Bounds the sample points of one slice check, which are all held in memory
+# at once; checked before any work, as _QUERY_MAX_N is.
+_TRIALS_MAX = 10_000
 
 
 def _print(data: object, pretty: bool = True) -> None:
@@ -75,6 +78,14 @@ def _over_cap(command: str, *perms: Permutation) -> bool:
     if n <= _QUERY_MAX_N:
         return False
     print(f"error: {command} takes n <= {_QUERY_MAX_N}, got n = {n}", file=sys.stderr)
+    return True
+
+
+def _too_many_trials(trials: int) -> bool:
+    """Print one error line if --trials exceeds its cap."""
+    if trials <= _TRIALS_MAX:
+        return False
+    print(f"error: --trials takes at most {_TRIALS_MAX}, got {trials}", file=sys.stderr)
     return True
 
 
@@ -157,7 +168,7 @@ def cmd_kl(args: argparse.Namespace) -> int:
 def cmd_slice(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
-    if _over_cap("slice", v, w):
+    if _over_cap("slice", v, w) or _too_many_trials(args.trials):
         return 2
     report = slice_report(v, w, trials=args.trials, seed=args.seed)
     report["v"] = format_permutation(v)
@@ -169,7 +180,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
-    if _over_cap("report", w):
+    if _over_cap("report", w) or _too_many_trials(args.trials):
         return 2
     record = verify_permutation(w, trials=args.trials, seed=args.seed)
     _print(record)
@@ -177,6 +188,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    if _too_many_trials(args.trials):
+        return 2
     if not 2 <= args.n <= _VERIFY_MAX_N:
         print(
             f"error: --n must be between 2 and {_VERIFY_MAX_N}"

@@ -81,7 +81,7 @@ from .linalg import (
 )
 from .perms import Permutation, format_permutation, inverse, length
 from .symgroup import symmetric_group
-from .tangent import singular_components, tangent_dimension
+from .tangent import component_counts, tangent_dimension
 
 __all__ = [
     "TYPE_4231",
@@ -173,15 +173,40 @@ class Component(ABC):
         }
 
 
+# The coordinate values every sampler draws from.
+DIGITS = tuple(range(-9, 10))
+NONZERO_DIGITS = tuple(x for x in DIGITS if x)
+
+
+def draw_values(rng: Random, values: Sequence[int], count: int) -> list[int]:
+    """``count`` draws from ``values``, each one what ``rng.choice(values)`` gives.
+
+    CPython's ``choice`` takes k = len(values).bit_length() random bits and
+    draws again while they index past the end; ``randint(a, b)`` does the
+    same for ``range(a, b + 1)``.  Doing that here, without their per-call
+    overhead, leaves every draw as it was.
+    """
+    bits = rng.getrandbits
+    size = len(values)
+    k = size.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        out.append(values[r])
+    return out
+
+
 def _draw_vector(rng: Random, count: int) -> list[int]:
     while True:
-        vec = [rng.randint(-9, 9) for _ in range(count)]
+        vec = draw_values(rng, DIGITS, count)
         if any(vec):
             return vec
 
 
 def _draw_nonzero(rng: Random, count: int) -> list[int]:
-    return [rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9)) for _ in range(count)]
+    return draw_values(rng, NONZERO_DIGITS, count)
 
 
 class _Grid(NamedTuple):
@@ -345,9 +370,9 @@ class QuadricComponent(Component):
         # it is integral.
         pairs = frame.pairs
         solved = pairs[0][1]
-        values = {cell: rng.randint(-9, 9) for cell in free}
+        values = dict(zip(free, draw_values(rng, DIGITS, len(free))))
         while values[pairs[0][0]] == 0:
-            values[pairs[0][0]] = rng.randint(-9, 9)
+            values[pairs[0][0]] = draw_values(rng, DIGITS, 1)[0]
         a0 = values[pairs[0][0]]
         rest = sum(values[a] * values[b] for a, b in pairs[1:])
         values = {cell: a0 * x for cell, x in values.items()}
@@ -443,9 +468,14 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
     vi = group.index_of(v.values)
     if not mask[vi]:
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
+    return _classify(v, w, group.tangent_counts(mask, (vi,))[0])
+
+
+def _classify(v: Permutation, w: Permutation, dim: int) -> Component:
+    """Classify v <= w from its tangent count ``dim`` = m(w, v)."""
     lw = length(w)
     d = lw - length(v)
-    e = group.tangent_counts(mask, (vi,))[0] - lw
+    e = dim - lw
     if e <= 0:
         raise ClassificationError(
             f"v={v.values} is a smooth point of X_{{{w.values}}} (excess {e})"
@@ -483,8 +513,7 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
 
 def enumerate_components(w: Permutation) -> list[Component]:
     """All classified components of Sing(X_w), sorted by one-line notation of v."""
-    vs = sorted(singular_components(w), key=lambda u: u.values)
-    return [classify_component(v, w) for v in vs]
+    return [_classify(v, w, dim) for v, dim in component_counts(w)]
 
 
 _Dot = tuple[int, int]  # a point (position, value) of w's permutation matrix

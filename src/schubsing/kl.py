@@ -168,27 +168,27 @@ def _kl_table(group: SymmetricGroup, wi: int) -> tuple[array, array]:
     swi = row[col]
     sub = _kl_table(group, swi)
     # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
-    mus = [
-        ((lw - lengths[zi]) // 2, mu, *_kl_table(group, zi))
-        for zi, mu in zip(*_mu_support(group, swi))
-        if lengths[lmul[zi * stride + col]] < lengths[zi]
-    ]
+    # P(v, z) is zero unless v is in z's interval, so each z walks its own
+    # table once and adds its term to the correction of each v there.
+    corrections: dict[int, list[int]] = {}
+    for zi, mu in zip(*_mu_support(group, swi)):
+        if lengths[lmul[zi * stride + col]] < lengths[zi]:
+            shift = (lw - lengths[zi]) // 2
+            for vi, pid in zip(*_kl_table(group, zi)):
+                corr = corrections.get(vi)
+                if corr is None:
+                    corr = corrections[vi] = []
+                _add_shifted(corr, _polys[pid], shift, -mu)
 
     ids = []
     for vi in interval:
         svi = lmul[vi * stride + col]
         c = 1 if lengths[svi] < lengths[vi] else 0
         plain = (c, _lookup_id(sub, svi), _lookup_id(sub, vi))
-        acc = None
-        # P(v, z) is zero unless v is in z's interval.  This runs once per
-        # (v, z), so the search is inlined rather than a _lookup_id call.
-        for shift, mu, zinterval, zids in mus:
-            k = bisect_left(zinterval, vi)
-            if k < len(zinterval) and zinterval[k] == vi:
-                if acc is None:
-                    acc = _plain_sum(*plain)
-                _add_shifted(acc, _polys[zids[k]], shift, -mu)
-        if acc is not None:
+        corr = corrections.get(vi)
+        if corr is not None:
+            acc = _plain_sum(*plain)
+            _add_shifted(acc, corr, 0)
             ids.append(_intern(_strip(acc)))
             continue
         pid = _plain_ids.get(plain)

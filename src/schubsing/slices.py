@@ -10,8 +10,7 @@ Two independent equation models are built over the free coordinates:
 
 * the determinantal model: for every binding rank condition (p, q) of X_w,
   all minors of size p - r_w(p, q) + 1 of rows 1..p against columns
-  q+1..n.  A pair without free coordinates (only v = w) has no minors:
-  every chart entry is 0 or 1, so every minor is constant;
+  q+1..n, expanded only where the chart can make them nonzero;
 * the closed model, read off the component type: the 2 x 2 minors of a
   rank-one matrix of free coordinates (4231 and 3412empty types), or one
   nondegenerate quadric (3412* type).
@@ -21,14 +20,17 @@ the one denominator), and membership of a flag in X_w is decided by rank
 conditions read off a fraction-free integer echelon form, so every check
 below is exact: no floating point, and no rational arithmetic either.
 
-X_w's binding rank conditions have one enumeration, :func:`_caps`, which
-feeds both the minors and membership.  Membership has one kernel,
-:func:`_member`, fed int rows and those conditions row by row.
-:func:`in_schubert` scales a flag's rows to ints and feeds them in.
-:func:`verify_slice` reads everything from one :class:`SliceModel`: it
-builds a chart template once per slice (v's base rows, each row cut after
-its last free column, and the free slots of each row) plus w's conditions,
-and tests every cone and off-cone point by filling the template: no
+X_w's binding rank conditions have one enumeration, :func:`_caps`.
+Membership has one kernel, :func:`_member`, fed int rows and conditions row
+by row; :func:`in_schubert` scales a flag's rows to ints and feeds them in
+with all of w's conditions.  A slice works on a chart template instead (v's
+base rows, each row cut after its last free column, and the free slots of
+each row), and one pass, :func:`_live`, keeps the conditions a chart point
+can break: a condition holds at every point when too few chart rows reach
+past its column (v = w, for one, has none).  Those live conditions feed
+both readers: the minors, and :func:`verify_slice`, which reads everything
+from one :class:`SliceModel` and tests every cone and off-cone point by
+filling the template up to the last row with a live condition: no
 :class:`FlagMatrix` and no rank table per point.
 """
 
@@ -40,7 +42,14 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .components import Cell, Component, SliceStructureError, classify_component
+from .components import (
+    DIGITS,
+    Cell,
+    Component,
+    SliceStructureError,
+    classify_component,
+    draw_values,
+)
 from .linalg import (
     Poly,
     integer_row,
@@ -187,53 +196,56 @@ def free_coordinates(v: Permutation, w: Permutation) -> list[Cell]:
 def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
     """Minor equations cutting out the variety on the slice chart.
 
-    Every binding rank condition of the variety (:func:`_caps`) contributes
-    its minors: at cell (p, q) the rows 1..p against columns q+1..n may
-    have rank at most p - r_w(p, q), so all minors one size larger vanish.
-    Fixed chart entries are substituted by their 0/1 values; variables are
-    indexed by position in ``free_coordinates(v, w)``; constant and
-    duplicate minors are dropped.  The common vanishing set is exactly the
-    set of chart assignments whose flag lies in the variety.
+    Every binding rank condition of the variety (:func:`_caps`) bounds a
+    rank: at cell (p, q) the rows 1..p against columns q+1..n may have rank
+    at most p - r_w(p, q), so all minors one size larger vanish.  Only the
+    live conditions (:func:`_live`) can give a nonconstant minor, and a
+    minor through a row or a column that is zero in the chart is 0; so each
+    live cell expands only its rows that reach past q against the columns
+    after q that are nonzero in one of them.  Fixed chart entries are
+    substituted by their 0/1 values; variables are indexed by position in
+    ``free_coordinates(v, w)``; constant and duplicate minors are dropped.
+    The common vanishing set is exactly the set of chart assignments whose
+    flag lies in the variety.
     """
     if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
     n = v.n
-    free = free_coordinates(v, w)
-    if not free:  # only v = w: every chart entry is 0 or 1, every minor constant
-        return []
-    var_of = {cell: i for i, cell in enumerate(free)}
+    chart = _chart(v, free_coordinates(v, w))
     # The chart entries as polynomials, built once and shared by every minor
     # (sym_det never mutates its entries); index 0 pads rows and columns.
     one: Poly = {(): 1}
-    grid = [[]] + [
-        [{}] + [
-            one if k == vj else poly_var(var_of[j, k]) if (j, k) in var_of else {}
-            for k in range(1, n + 1)
-        ]
-        for j, vj in enumerate(v.values, start=1)
-    ]
+    grid: list[list[Poly]] = [[]]
+    for vj, (_, slots) in zip(v.values, chart):
+        row: list[Poly] = [{}] * (n + 1)
+        row[vj] = one
+        for col, i in slots:
+            row[col + 1] = poly_var(i)
+        grid.append(row)
 
     expanded: set[tuple] = set()
     seen: set[tuple] = set()
     eqs: list[Poly] = []
-    for p, row_caps in enumerate(_caps(w), start=1):
+    for p, row_caps in enumerate(_live(chart, _caps(w)), start=1):
         for q, cap in row_caps:
-            _collect_minors(grid, p, q, n, cap + 1, expanded, seen, eqs)
+            rows = [j for j in range(1, p + 1) if len(chart[j - 1][0]) > q]
+            cols = [k for k in range(q + 1, n + 1) if any(grid[j][k] for j in rows)]
+            _collect_minors(grid, rows, cols, cap + 1, expanded, seen, eqs)
     eqs.sort(key=poly_canonical)
     return eqs
 
 
 def _collect_minors(
-    grid, p: int, q: int, n: int, size: int, expanded, seen, eqs
+    grid, rows: list[int], cols: list[int], size: int, expanded, seen, eqs
 ) -> None:
-    """Add the new size x size minors of rows 1..p against columns q+1..n.
+    """Add the new size x size minors of ``rows`` against ``cols``.
 
     A (rows, columns) selection that an earlier cell already expanded is
     skipped before its determinant is computed; ``seen`` then drops
     distinct selections whose minors coincide.
     """
-    for rowsel in combinations(range(1, p + 1), size):
-        for colsel in combinations(range(q + 1, n + 1), size):
+    for rowsel in combinations(rows, size):
+        for colsel in combinations(cols, size):
             if (rowsel, colsel) in expanded:
                 continue
             expanded.add((rowsel, colsel))
@@ -368,6 +380,24 @@ def _chart(v: Permutation, free: Sequence[Cell]) -> tuple[tuple[list[int], tuple
     return tuple(chart)
 
 
+def _live(chart, caps) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The conditions of ``caps`` that some point of ``chart`` can break, row by row.
+
+    Row j of the chart reaches past column q iff its template is longer
+    than q; a row that does not lies in the first q coordinates.  So rows
+    1..p have at most as many echelon leads after q as they have rows that
+    reach past q, and a condition (q, cap) of row p with at most cap such
+    rows holds at every chart point.
+    """
+    reach = [0] * len(caps)  # reach[q] = #{rows so far that reach past q}
+    live = []
+    for row_caps, (base, _) in zip(caps, chart):
+        for q in range(len(base)):
+            reach[q] += 1
+        live.append(tuple((q, cap) for q, cap in row_caps if reach[q] > cap))
+    return tuple(live)
+
+
 def _chart_rows(chart, assignment: Sequence[int]) -> list[list[int]]:
     """The generator rows of the chart point with these free coordinates."""
     rows = []
@@ -382,11 +412,16 @@ def _chart_rows(chart, assignment: Sequence[int]) -> list[list[int]]:
 def _membership(model: SliceModel):
     """Exact membership in X_w of the slice's chart points, as a predicate.
 
-    The chart and the rank conditions are built once, so a point costs one
-    int elimination and no :class:`FlagMatrix`.
+    The chart and its live rank conditions (:func:`_live`) are built once,
+    so a point costs one int elimination of the rows up to the last live
+    condition and no :class:`FlagMatrix`.  Chart rows are independent, so
+    leaving out the conditions that always hold leaves every verdict as it is.
     """
-    chart, caps = _chart(model.v, model.free), _caps(model.w)
-    return lambda assignment: _member(caps, _chart_rows(chart, assignment))
+    chart = _chart(model.v, model.free)
+    live = _live(chart, _caps(model.w))
+    # Rows after the last live condition change no verdict.
+    chart = chart[: max((p for p, row in enumerate(live, 1) if row), default=0)]
+    return lambda assignment: _member(live, _chart_rows(chart, assignment))
 
 
 def _rng(seed: int, tag: str, v: Permutation, w: Permutation) -> random.Random:
@@ -422,7 +457,7 @@ def _sample_off_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, .
     out = []
     for _ in range(trials):
         for _attempt in range(1000):
-            assignment = tuple(rng.randint(-9, 9) for _ in s.free)
+            assignment = tuple(draw_values(rng, DIGITS, len(s.free)))
             if any(poly_eval(eq, assignment) for eq in s.closed_equations):
                 out.append(assignment)
                 break

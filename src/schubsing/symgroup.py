@@ -258,7 +258,7 @@ class SymmetricGroup:
         return array(
             "i",
             (
-                sum(mask[i] for i in tprod[v * ntrans : (v + 1) * ntrans])
+                sum(map(mask.__getitem__, tprod[v * ntrans : (v + 1) * ntrans]))
                 for v in cands
             ),
         )

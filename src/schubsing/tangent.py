@@ -28,6 +28,7 @@ from .symgroup import SymmetricGroup, symmetric_group
 
 __all__ = [
     "TangentReport",
+    "component_counts",
     "singular_components",
     "singular_points",
     "tangent_dimension",
@@ -60,20 +61,39 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
     return TangentReport(v, w, count, count - length(w))
 
 
-def _singular_indices(w: Permutation) -> tuple[SymmetricGroup, list[int]]:
-    """The group of w and the indices of its singular points v <= w."""
+def _singular_counts(w: Permutation) -> tuple[SymmetricGroup, dict[int, int]]:
+    """The group of w and m(w, v) for each singular point v <= w, by group index."""
     group = symmetric_group(w.n)
     mask = group.lower_mask(group.index_of(w.values))
     cands = list(compress(range(group.order), mask))
     counts = group.tangent_counts(mask, cands)
     lw = length(w)
-    return group, [vi for vi, count in zip(cands, counts) if count > lw]
+    return group, {vi: count for vi, count in zip(cands, counts) if count > lw}
 
 
 def singular_points(w: Permutation) -> set[Permutation]:
     """Fixed points v <= w where the tangent dimension exceeds length(w)."""
-    group, singular = _singular_indices(w)
-    return {group.perm(vi) for vi in singular}
+    group, counts = _singular_counts(w)
+    return {group.perm(vi) for vi in counts}
+
+
+def component_counts(w: Permutation) -> list[tuple[Permutation, int]]:
+    """Each Bruhat-maximal singular point v with its tangent count m(w, v).
+
+    Sorted by one-line notation of v; the points are those of
+    :func:`singular_components`.
+    """
+    group, counts = _singular_counts(w)
+    # Scan by decreasing length; a point is maximal iff it is not below any
+    # already-kept maximal point.
+    kept: list[int] = []
+    kept_masks: list[bytes] = []
+    for vi in sorted(counts, key=lambda vi: (-group.lengths[vi], vi)):
+        if any(mask[vi] for mask in kept_masks):
+            continue
+        kept.append(vi)
+        kept_masks.append(group.lower_mask(vi))
+    return [(group.perm(vi), counts[vi]) for vi in sorted(kept)]
 
 
 def singular_components(w: Permutation) -> set[Permutation]:
@@ -81,15 +101,4 @@ def singular_components(w: Permutation) -> set[Permutation]:
 
     The result is an antichain; it is empty exactly when X_w is smooth.
     """
-    group, singular = _singular_indices(w)
-    # Scan by decreasing length; a point is maximal iff it is not below any
-    # already-kept maximal point.
-    singular.sort(key=lambda vi: (-group.lengths[vi], vi))
-    kept: list[int] = []
-    kept_masks: list[bytes] = []
-    for vi in singular:
-        if any(mask[vi] for mask in kept_masks):
-            continue
-        kept.append(vi)
-        kept_masks.append(group.lower_mask(vi))
-    return {group.perm(vi) for vi in kept}
+    return {v for v, _ in component_counts(w)}

@@ -189,6 +189,31 @@ def test_nonpositive_trials_and_jobs_exit_2(capsys, monkeypatch, argv):
     assert "must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("slice", "1324", "3412"), "slice_report"),
+        (("report", "3412"), "verify_permutation"),
+        (("verify-all", "--n", "4"), "verify_all"),
+    ],
+)
+def test_trials_over_the_cap_exit_2(capsys, monkeypatch, argv, target):
+    """--trials past 10,000 gets one error line before any work; 10,000 itself runs."""
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(kwargs["trials"])
+        raise ValueError("stopped after the cap check")
+
+    monkeypatch.setattr(f"schubsing.cli.{target}", no_work)
+    code, out, err = run_cli(capsys, *argv, "--trials", "10001")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: --trials takes at most 10000, got 10001\n"
+    code, out, err = run_cli(capsys, *argv, "--trials", "10000")
+    assert (code, out, calls) == (2, "", [10000])
+    assert err == "error: stopped after the cap check\n"
+
+
 def test_slice_structure_error_exits_1(capsys, monkeypatch):
     """A cone sampler off its own equations gives one error line, no traceback."""
     monkeypatch.setattr(

@@ -7,6 +7,8 @@ from array import array
 import pytest
 
 from schubsing.components import (
+    DIGITS,
+    NONZERO_DIGITS,
     TYPE_3412_EMPTY,
     TYPE_3412_STAR,
     TYPE_4231,
@@ -16,6 +18,7 @@ from schubsing.components import (
     TwoBlockComponent,
     classify_component,
     components_from_patterns,
+    draw_values,
     enumerate_components,
     verify_formulas,
 )
@@ -23,7 +26,7 @@ from schubsing.perms import Permutation, bruhat_leq, identity, length, make_perm
 from schubsing.slices import free_coordinates
 from schubsing.sweep import component_pairs
 from schubsing.symgroup import SymmetricGroup
-from schubsing.tangent import tangent_dimension
+from schubsing.tangent import singular_components, tangent_dimension
 
 
 def test_classify_4231_component():
@@ -197,3 +200,28 @@ def test_pattern_route_checks_the_lengths(monkeypatch, family, w):
     monkeypatch.setattr(family, "formulas_hold", lambda self, lw, lv, dim: False)
     with pytest.raises(ClassificationError):
         components_from_patterns(Permutation(w))
+
+
+def test_draw_values_match_randint_and_choice():
+    """The samplers' one draw helper gives CPython's draws, draw for draw, on 500 seeds.
+
+    The two generators must also end in the same state, so the draws that
+    follow stay the same too.
+    """
+    for seed in range(500):
+        for values, draw in (
+            (DIGITS, lambda rng: rng.randint(-9, 9)),
+            (NONZERO_DIGITS, lambda rng: rng.choice(NONZERO_DIGITS)),
+        ):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for count in (1, 3, 40):
+                assert draw_values(mine, values, count) == [draw(theirs) for _ in range(count)]
+            assert mine.getstate() == theirs.getstate()
+
+
+def test_enumerate_components_matches_classify_component():
+    """Classifying from the sweep's own tangent counts equals the public route, on S_5."""
+    for values in itertools.permutations(range(1, 6)):
+        w = Permutation(values)
+        vs = sorted(singular_components(w), key=lambda v: v.values)
+        assert enumerate_components(w) == [classify_component(v, w) for v in vs]

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -21,7 +22,15 @@ from schubsing.perms import (
     rank_table,
 )
 from schubsing.slices import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     SliceStructureError,
+    _caps,
+    _chart,
+    _chart_rows,
+    _member,
+    _membership,
+    _sample_off_cone,
     build_slice,
     determinantal_model,
     embed_point,
@@ -281,6 +290,34 @@ def test_generic_flag_only_in_full_variety():
     assert hits == []
 
 
+def assert_live_membership_matches_full(model):
+    """The pruned predicate agrees with ``_member`` on w's full conditions and all rows.
+
+    The points are the cone and off-cone samples a sweep tests, which
+    include points on both sides of X_w.
+    """
+    chart, caps = _chart(model.v, model.free), _caps(model.w)
+    member = _membership(model)
+    points = sample_cone(model, DEFAULT_TRIALS, DEFAULT_SEED)
+    points += _sample_off_cone(model, DEFAULT_TRIALS, DEFAULT_SEED)
+    verdicts = set()
+    for assignment in points:
+        full = _member(caps, _chart_rows(chart, assignment))
+        assert member(assignment) == full, (model.v, model.w, assignment)
+        verdicts.add(full)
+    return verdicts
+
+
+def test_live_membership_matches_full_conditions():
+    """Every cone and off-cone point of the 656 component pairs of S_<=6."""
+    pairs, verdicts = 0, set()
+    for n in range(1, 7):
+        for w, c in component_pairs(n):
+            verdicts |= assert_live_membership_matches_full(build_slice(c, w))
+            pairs += 1
+    assert pairs == 656 and verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # sampling and verification
 
@@ -400,22 +437,13 @@ def test_zero_assignment_vanishes_in_determinantal_model():
         assert poly_eval(eq, zero) == 0
 
 
-def test_determinantal_model_expands_each_selection_once(monkeypatch):
-    """One S_6 pair whose cells share 60 of their 127 minor selections.
+def unexpanded_selections(v, w):
+    """Every (rows, columns) minor selection of every binding cell, unpruned.
 
-    Every selection reaches ``sym_det`` once, and the equations equal those
-    of expanding every cell's minors in full and deduplicating afterwards.
+    At cell (p, q) the minors of size p - r_w(p, q) + 1 of rows 1..p
+    against columns q+1..n, for every cell where that size fits.
     """
-    v = make_permutation([1, 2, 4, 3, 5, 6])
-    w = make_permutation([1, 4, 5, 2, 3, 6])
     n, rw = w.n, rank_table(w)
-    free = free_coordinates(v, w)
-
-    def entry(j, k):
-        if k == v(j):
-            return {(): 1}
-        return poly_var(free.index((j, k))) if (j, k) in free else {}
-
     selections = []
     for p in range(1, n + 1):
         for q in range(1, n):
@@ -425,14 +453,39 @@ def test_determinantal_model_expands_each_selection_once(monkeypatch):
                     itertools.combinations(range(1, p + 1), size),
                     itertools.combinations(range(q + 1, n + 1), size),
                 )
-    assert (len(selections), len(set(selections))) == (127, 67)
+    return selections
+
+
+def unexpanded_minors(v, w):
+    """The determinantal model by the unpruned loop: expand every selection, then deduplicate."""
+    free = free_coordinates(v, w)
+
+    def entry(j, k):
+        if k == v(j):
+            return {(): 1}
+        return poly_var(free.index((j, k))) if (j, k) in free else {}
+
     canons = set()
-    for rows, cols in selections:
+    for rows, cols in set(unexpanded_selections(v, w)):
         det = sym_det([[entry(j, k) for k in cols] for j in rows])
         det.pop((), None)
         if det:
             canons.add(poly_canonical(det))
-    expected = [dict(canon) for canon in sorted(canons)]
+    return [dict(canon) for canon in sorted(canons)]
+
+
+def test_determinantal_model_expands_each_selection_once(monkeypatch):
+    """One S_6 pair whose cells share 60 of their 127 minor selections.
+
+    Of the 67 distinct selections only one is live, and it reaches
+    ``sym_det`` once; the equations equal those of expanding every cell's
+    minors in full and deduplicating afterwards.
+    """
+    v = make_permutation([1, 2, 4, 3, 5, 6])
+    w = make_permutation([1, 4, 5, 2, 3, 6])
+    selections = unexpanded_selections(v, w)
+    assert (len(selections), len(set(selections))) == (127, 67)
+    expected = unexpanded_minors(v, w)
 
     matrices = []
 
@@ -442,12 +495,42 @@ def test_determinantal_model_expands_each_selection_once(monkeypatch):
 
     monkeypatch.setattr(schubsing.slices, "sym_det", counting_det)
     eqs = determinantal_model(v, w)
-    assert len(matrices) == 67
+    assert len(matrices) == 1
     assert eqs == expected
     c = classify_component(v, w)
     model = build_slice(c, w)
     names = equation_strings(model, eqs)
     assert names == equation_strings(model, expected) and len(names) == len(set(names))
+
+
+def test_determinantal_model_matches_unexpanded_loop_on_every_pair():
+    """Every v <= w of S_<=5, and every component pair of S_6."""
+    pairs = 0
+    for n in range(1, 6):
+        group = symmetric_group(n)
+        for wi in range(group.order):
+            w = group.perm(wi)
+            for vi in group.interval(wi):
+                v = group.perm(vi)
+                assert determinantal_model(v, w) == unexpanded_minors(v, w), (v, w)
+                pairs += 1
+    assert pairs == 1 + 3 + 19 + 213 + 3781
+    for w, c in component_pairs(6):
+        assert determinantal_model(c.v, w) == unexpanded_minors(c.v, w), (c.v, w)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SCHUBSING_N7"),
+    reason="S_7 slice comparisons run only with SCHUBSING_N7=1",
+)
+def test_live_conditions_match_full_conditions_on_s7():
+    """Both live-condition readers against their unpruned references, on S_7."""
+    pairs = 0
+    for w, c in component_pairs(7):
+        assert determinantal_model(c.v, w) == unexpanded_minors(c.v, w), (c.v, w)
+        assert_live_membership_matches_full(build_slice(c, w))
+        pairs += 1
+    assert pairs == 8426
 
 
 def test_determinantal_model_builds_each_chart_entry_once(monkeypatch):
