@@ -46,6 +46,8 @@ _VERIFY_MAX_N = 7
 # components and about 1 MB of JSON (0.55 s on a quiet 2-core VM); smooth
 # lists every 4231 and 3412 occurrence, which grows as n^4.  kl, report and
 # slice (unless v = w) still build the whole group, which stops at n = 9.
+# slice keeps it on purpose: past n = 9 a pair that is not a component can
+# need thousands of minors (v = identity, w = 7..12,1..6: over 20 s).
 _QUERY_MAX_N = 20
 # Bounds the sample points of one slice check, which are all held in memory
 # at once; checked before any work, as _QUERY_MAX_N is.

@@ -23,15 +23,15 @@ below is exact: no floating point, and no rational arithmetic either.
 X_w's binding rank conditions have one enumeration, :func:`_caps`.
 Membership has one kernel, :func:`_member`, fed int rows and conditions row
 by row; :func:`in_schubert` scales a flag's rows to ints and feeds them in
-with all of w's conditions.  A slice works on a chart template instead (v's
-base rows, each row cut after its last free column, and the free slots of
-each row), and one pass, :func:`_live`, keeps the conditions a chart point
-can break: a condition holds at every point when too few chart rows reach
-past its column (v = w, for one, has none).  Those live conditions feed
-both readers: the minors, and :func:`verify_slice`, which reads everything
-from one :class:`SliceModel` and tests every cone and off-cone point by
-filling the template up to the last row with a live condition: no
-:class:`FlagMatrix` and no rank table per point.
+with all of w's conditions.  A pair's facts live on one :class:`SliceModel`
+(:func:`build_slice` for a component, :func:`pair_slice` otherwise), which
+builds its chart on first read in one pass, :func:`_chart`: a template (v's
+base rows, each cut after its last free column, and their free slots) and
+the live conditions, those some chart point can break (v = w has none).
+The minors, :func:`embed_point` and :func:`verify_slice` all read that one
+chart; the last tests every cone and off-cone point by filling the template
+up to the last row with a live condition: no :class:`FlagMatrix` and no
+rank table per point.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .components import (
     Cell,
     Component,
     SliceStructureError,
-    classify_component,
     draw_values,
+    enumerate_components,
 )
 from .linalg import (
     Poly,
@@ -69,7 +69,6 @@ from .perms import (
     inverse,
     rank_table,
 )
-from .tangent import singular_components
 
 __all__ = [
     "DEFAULT_SEED",
@@ -85,9 +84,9 @@ __all__ = [
     "free_coordinates",
     "in_schubert",
     "mv_support",
+    "pair_slice",
     "sample_cone",
     "slice_report",
-    "trivial_slice",
     "verify_slice",
 ]
 
@@ -124,9 +123,14 @@ class SliceModel:
     frame: tuple | None
 
     @cached_property
+    def chart(self) -> tuple[tuple, tuple]:
+        """The chart template and its live conditions (:func:`_chart`), built on first read."""
+        return _chart(self.v, self.free, _caps(self.w))
+
+    @cached_property
     def determinantal_equations(self) -> tuple[Poly, ...]:
         """The determinantal model of (v, w), built on first read."""
-        return tuple(determinantal_model(self.v, self.w))
+        return tuple(determinantal_model(self))
 
 
 @dataclass(frozen=True)
@@ -193,25 +197,23 @@ def free_coordinates(v: Permutation, w: Permutation) -> list[Cell]:
     return out
 
 
-def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
+def determinantal_model(s: SliceModel) -> list[Poly]:
     """Minor equations cutting out the variety on the slice chart.
 
     Every binding rank condition of the variety (:func:`_caps`) bounds a
     rank: at cell (p, q) the rows 1..p against columns q+1..n may have rank
     at most p - r_w(p, q), so all minors one size larger vanish.  Only the
-    live conditions (:func:`_live`) can give a nonconstant minor, and a
+    live conditions of the model's chart can give a nonconstant minor, and a
     minor through a row or a column that is zero in the chart is 0; so each
     live cell expands only its rows that reach past q against the columns
     after q that are nonzero in one of them.  Fixed chart entries are
     substituted by their 0/1 values; variables are indexed by position in
-    ``free_coordinates(v, w)``; constant and duplicate minors are dropped.
-    The common vanishing set is exactly the set of chart assignments whose
-    flag lies in the variety.
+    ``s.free``; constant and duplicate minors are dropped.  The common
+    vanishing set is exactly the set of chart assignments whose flag lies
+    in the variety.
     """
-    if not bruhat_leq(v, w):
-        raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
-    n = v.n
-    chart = _chart(v, free_coordinates(v, w))
+    v, n = s.v, s.v.n
+    chart, live = s.chart
     # The chart entries as polynomials, built once and shared by every minor
     # (sym_det never mutates its entries); index 0 pads rows and columns.
     one: Poly = {(): 1}
@@ -226,7 +228,7 @@ def determinantal_model(v: Permutation, w: Permutation) -> list[Poly]:
     expanded: set[tuple] = set()
     seen: set[tuple] = set()
     eqs: list[Poly] = []
-    for p, row_caps in enumerate(_live(chart, _caps(w)), start=1):
+    for p, row_caps in enumerate(live, start=1):
         for q, cap in row_caps:
             rows = [j for j in range(1, p + 1) if len(chart[j - 1][0]) > q]
             cols = [k for k in range(q + 1, n + 1) if any(grid[j][k] for j in rows)]
@@ -282,15 +284,19 @@ def build_slice(c: Component, w: Permutation) -> SliceModel:
     )
 
 
-def trivial_slice(v: Permutation) -> SliceModel:
-    """The slice of the pair (v, v): a point, no coordinates, no equations."""
-    return SliceModel(v, v, None, (), (), None)
+def pair_slice(v: Permutation, w: Permutation) -> SliceModel:
+    """The slice of a pair v <= w without a closed model; (v, v) gives a point."""
+    if not bruhat_leq(v, w):
+        raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
+    return SliceModel(v, w, None, tuple(free_coordinates(v, w)), (), None)
 
 
 def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
-    """Fill the chart of v with an assignment of the free coordinates."""
+    """Fill the chart of v with one value per free coordinate (else ``ValueError``)."""
+    if len(assignment) != len(s.free):
+        raise ValueError(f"{len(s.free)} free coordinates, got {len(assignment)} values")
     n = s.v.n
-    rows = _chart_rows(_chart(s.v, s.free), assignment)
+    rows = _chart_rows(s.chart[0], assignment)
     return FlagMatrix(n, tuple(tuple(row) + (0,) * (n - len(row)) for row in rows))
 
 
@@ -362,40 +368,30 @@ def _member(caps, rows: Sequence[list[int]]) -> bool | None:
     return True
 
 
-def _chart(v: Permutation, free: Sequence[Cell]) -> tuple[tuple[list[int], tuple], ...]:
-    """The chart of v as a template: per row, its fixed entries and free slots.
+def _chart(v: Permutation, free: Sequence[Cell], caps) -> tuple[tuple, tuple]:
+    """The chart of v as a template, and the conditions of ``caps`` it can break.
 
-    Row j holds its chart 1 in column v(j) and is cut after its last column
-    that may be nonzero; its slots pair a 0-indexed column with the index of
-    the free coordinate that fills it.
+    Template row j holds its chart 1 in column v(j) and is cut after its
+    last column that may be nonzero; its slots pair a 0-indexed column with
+    the index of the free coordinate that fills it.  A row that is not
+    longer than q lies in the first q coordinates, so rows 1..p have at most
+    as many echelon leads after q as they have rows that reach past q, and
+    a condition (q, cap) of row p with at most cap such rows holds at every
+    chart point.  The others, row by row, are the live conditions.
     """
     slots: list[list[tuple[int, int]]] = [[] for _ in range(v.n)]
     for i, (j, k) in enumerate(free):
         slots[j - 1].append((k - 1, i))
-    chart = []
-    for vj, row_slots in zip(v.values, slots):
+    reach = [0] * v.n  # reach[q] = #{rows so far that reach past q}
+    template, live = [], []
+    for vj, row_slots, row_caps in zip(v.values, slots, caps):
         base = [0] * max([vj] + [col + 1 for col, _ in row_slots])
         base[vj - 1] = 1
-        chart.append((base, tuple(row_slots)))
-    return tuple(chart)
-
-
-def _live(chart, caps) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The conditions of ``caps`` that some point of ``chart`` can break, row by row.
-
-    Row j of the chart reaches past column q iff its template is longer
-    than q; a row that does not lies in the first q coordinates.  So rows
-    1..p have at most as many echelon leads after q as they have rows that
-    reach past q, and a condition (q, cap) of row p with at most cap such
-    rows holds at every chart point.
-    """
-    reach = [0] * len(caps)  # reach[q] = #{rows so far that reach past q}
-    live = []
-    for row_caps, (base, _) in zip(caps, chart):
+        template.append((base, tuple(row_slots)))
         for q in range(len(base)):
             reach[q] += 1
         live.append(tuple((q, cap) for q, cap in row_caps if reach[q] > cap))
-    return tuple(live)
+    return tuple(template), tuple(live)
 
 
 def _chart_rows(chart, assignment: Sequence[int]) -> list[list[int]]:
@@ -412,13 +408,12 @@ def _chart_rows(chart, assignment: Sequence[int]) -> list[list[int]]:
 def _membership(model: SliceModel):
     """Exact membership in X_w of the slice's chart points, as a predicate.
 
-    The chart and its live rank conditions (:func:`_live`) are built once,
-    so a point costs one int elimination of the rows up to the last live
-    condition and no :class:`FlagMatrix`.  Chart rows are independent, so
-    leaving out the conditions that always hold leaves every verdict as it is.
+    It reads the model's chart and live rank conditions, so a point costs
+    one int elimination of the rows up to the last live condition and no
+    :class:`FlagMatrix`.  Chart rows are independent, so leaving out the
+    conditions that always hold leaves every verdict as it is.
     """
-    chart = _chart(model.v, model.free)
-    live = _live(chart, _caps(model.w))
+    chart, live = model.chart
     # Rows after the last live condition change no verdict.
     chart = chart[: max((p for p, row in enumerate(live, 1) if row), default=0)]
     return lambda assignment: _member(live, _chart_rows(chart, assignment))
@@ -560,14 +555,16 @@ def slice_report(
     trivial slice with a vacuous verdict; other pairs get free coordinates
     and the determinantal model only (no closed model exists for them).
     """
-    if not bruhat_leq(v, w):
-        raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
-    if v != w and v in singular_components(w):
-        model = build_slice(classify_component(v, w), w)
-        verdict = verify_slice(model, trials, seed)
-    else:
-        model = SliceModel(v, w, None, tuple(free_coordinates(v, w)), (), None)
+    c = None
+    # v <= w is checked before the component search, which needs n <= 9.
+    if v != w and bruhat_leq(v, w):
+        c = next((c for c in enumerate_components(w) if c.v == v), None)
+    if c is None:
+        model = pair_slice(v, w)
         verdict = SliceVerdict(True, True, True, True, True, samples=0) if v == w else None
+    else:
+        model = build_slice(c, w)
+        verdict = verify_slice(model, trials, seed)
     return {
         "free": [list(cell) for cell in model.free],
         "type": None if model.component is None else model.component.ctype,

@@ -1,6 +1,9 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -9,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schubsing.slices
 import schubsing.sweep
@@ -323,6 +328,20 @@ def test_verify_all_n6_held_out_seed_stdout_is_pinned(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "aaea51fca3c19952467c8507774ce95f"
 
 
+def test_slice_outputs_on_s4_are_pinned(capsys):
+    """Exit code, stdout and stderr of `slice V W` for all 576 ordered pairs of S_4.
+
+    The corpus covers component pairs, v = w, other pairs v < w and
+    incomparable pairs (exit 2).
+    """
+    digest = hashlib.md5()
+    for v in itertools.permutations("1234"):
+        for w in itertools.permutations("1234"):
+            code, out, err = run_cli(capsys, "slice", "".join(v), "".join(w), "--trials", "7")
+            digest.update(f"{code}|{out}|{err}".encode())
+    assert digest.hexdigest() == "1cd4c9ae42271bc6cc48c7da10050d1a"
+
+
 def test_verify_all_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify-all", "--n", "3")
     _, second, _ = run_cli(capsys, "verify-all", "--n", "3")
@@ -447,3 +466,41 @@ def test_singular_locus_builds_no_group():
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 10
     assert json.loads(proc.stderr) == [0, 0, 0]
+
+
+_ARITY = {"smooth": 1, "tangent": 2, "singular-locus": 1, "kl": 2, "slice": 2, "report": 1}
+_PERM_TEXT = st.one_of(
+    st.text(max_size=5),
+    st.text(alphabet="0123456,- ", max_size=5),
+    st.integers(1, 5).flatmap(lambda n: st.permutations("12345"[:n])).map("".join),
+)
+
+
+@st.composite
+def cheap_argv(draw):
+    """A command line of permutation texts of length <= 5 and any --trials/--seed."""
+    command = draw(st.sampled_from([*_ARITY, "verify-all"]))
+    if command == "verify-all":
+        argv = [command, "--n", str(draw(st.integers(max_value=4)))]
+    else:
+        argv = [command] + [draw(_PERM_TEXT) for _ in range(_ARITY[command])]
+    if command in ("slice", "report", "verify-all"):
+        for flag in draw(st.lists(st.sampled_from(["--trials", "--seed"]), max_size=2)):
+            argv += [flag, str(draw(st.integers()))]
+    return argv
+
+
+@settings(deadline=None, max_examples=60)
+@given(cheap_argv())
+def test_cli_exits_0_1_or_2(argv):
+    """Whatever the arguments, `main` answers with an exit code, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error, and 0 after printing help
+            # (a permutation text such as "-h").
+            assert exc.code == 2 or (exc.code == 0 and out.getvalue().startswith("usage:"))
+            return
+    assert code in (0, 1, 2), argv

@@ -26,7 +26,6 @@ from schubsing.slices import (
     DEFAULT_TRIALS,
     SliceStructureError,
     _caps,
-    _chart,
     _chart_rows,
     _member,
     _membership,
@@ -38,13 +37,13 @@ from schubsing.slices import (
     free_coordinates,
     in_schubert,
     mv_support,
+    pair_slice,
     sample_cone,
     slice_report,
-    trivial_slice,
     verify_slice,
 )
 from schubsing.sweep import _record_failures, component_pairs, verify_permutation
-from schubsing.symgroup import symmetric_group
+from schubsing.symgroup import SymmetricGroup, symmetric_group
 from schubsing.tangent import tangent_dimension
 
 
@@ -54,7 +53,7 @@ def all_perms(n):
 
 def perm_flag(u):
     """The coordinate flag of a permutation matrix."""
-    return embed_point(trivial_slice(u), ())
+    return embed_point(pair_slice(u, u), ())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def assert_live_membership_matches_full(model):
     The points are the cone and off-cone samples a sweep tests, which
     include points on both sides of X_w.
     """
-    chart, caps = _chart(model.v, model.free), _caps(model.w)
+    (chart, _), caps = model.chart, _caps(model.w)
     member = _membership(model)
     points = sample_cone(model, DEFAULT_TRIALS, DEFAULT_SEED)
     points += _sample_off_cone(model, DEFAULT_TRIALS, DEFAULT_SEED)
@@ -351,6 +350,16 @@ def test_cone_property_scaling():
             assert in_schubert(w, embed_point(model, scaled))
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_embed_point_needs_one_value_per_free_coordinate(extra):
+    """A short assignment used to raise IndexError, a long one to lose its tail."""
+    w = make_permutation([4, 2, 3, 1])
+    model = build_slice(classify_component(make_permutation([2, 1, 4, 3]), w), w)
+    assignment = (1,) * (len(model.free) + extra)
+    with pytest.raises(ValueError, match="4 free coordinates, got"):
+        embed_point(model, assignment)
+
+
 def test_containment_monotone_in_w():
     """Cone points of a slice for w lie in every variety above w."""
     w = make_permutation([4, 2, 3, 1])
@@ -398,10 +407,39 @@ def test_exclusion_reads_the_rank_conditions(monkeypatch):
     assert in_schubert(make_permutation([1, 2, 3, 4]), perm_flag(w))
 
 
+def test_each_pair_fact_is_built_once_per_model(monkeypatch):
+    """Free coordinates, w's rank conditions and the chart: once per component pair.
+
+    ``build_slice`` finds the free coordinates, and the chart pass (with
+    ``_caps``) runs on the first read of ``model.chart``; the minors and the
+    membership test then read the same chart.
+    """
+    calls = {"free_coordinates": 0, "_caps": 0, "_chart": 0}
+
+    def counting(name):
+        real = getattr(schubsing.slices, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(schubsing.slices, name, counting(name))
+    pairs = 0
+    for w, c in component_pairs(5):
+        model = build_slice(c, w)
+        assert "chart" not in model.__dict__  # singular-locus never pays for it
+        assert verify_slice(model, trials=3, seed=101).ok
+        pairs += 1
+    assert pairs == 41 and calls == dict.fromkeys(calls, pairs)
+
+
 def test_verify_slice_needs_a_component():
     v = make_permutation([2, 1, 4, 3])
     with pytest.raises(ValueError, match="component"):
-        verify_slice(trivial_slice(v))
+        verify_slice(pair_slice(v, v))
 
 
 def test_verify_slice_builds_no_flag_per_point(monkeypatch):
@@ -433,7 +471,7 @@ def test_zero_assignment_vanishes_in_determinantal_model():
     v = make_permutation([2, 1, 4, 3])
     w = make_permutation([4, 2, 3, 1])
     zero = (Fraction(0),) * 4
-    for eq in determinantal_model(v, w):
+    for eq in determinantal_model(pair_slice(v, w)):
         assert poly_eval(eq, zero) == 0
 
 
@@ -494,7 +532,7 @@ def test_determinantal_model_expands_each_selection_once(monkeypatch):
         return sym_det(matrix)
 
     monkeypatch.setattr(schubsing.slices, "sym_det", counting_det)
-    eqs = determinantal_model(v, w)
+    eqs = determinantal_model(pair_slice(v, w))
     assert len(matrices) == 1
     assert eqs == expected
     c = classify_component(v, w)
@@ -512,11 +550,11 @@ def test_determinantal_model_matches_unexpanded_loop_on_every_pair():
             w = group.perm(wi)
             for vi in group.interval(wi):
                 v = group.perm(vi)
-                assert determinantal_model(v, w) == unexpanded_minors(v, w), (v, w)
+                assert determinantal_model(pair_slice(v, w)) == unexpanded_minors(v, w), (v, w)
                 pairs += 1
     assert pairs == 1 + 3 + 19 + 213 + 3781
     for w, c in component_pairs(6):
-        assert determinantal_model(c.v, w) == unexpanded_minors(c.v, w), (c.v, w)
+        assert determinantal_model(pair_slice(c.v, w)) == unexpanded_minors(c.v, w), (c.v, w)
 
 
 @pytest.mark.skipif(
@@ -527,7 +565,7 @@ def test_live_conditions_match_full_conditions_on_s7():
     """Both live-condition readers against their unpruned references, on S_7."""
     pairs = 0
     for w, c in component_pairs(7):
-        assert determinantal_model(c.v, w) == unexpanded_minors(c.v, w), (c.v, w)
+        assert determinantal_model(pair_slice(c.v, w)) == unexpanded_minors(c.v, w), (c.v, w)
         assert_live_membership_matches_full(build_slice(c, w))
         pairs += 1
     assert pairs == 8426
@@ -544,13 +582,13 @@ def test_determinantal_model_builds_each_chart_entry_once(monkeypatch):
     monkeypatch.setattr(schubsing.slices, "poly_var", counting_var)
     v = make_permutation([1, 2, 4, 3, 5, 6])
     w = make_permutation([1, 4, 5, 2, 3, 6])
-    eqs = determinantal_model(v, w)
+    eqs = determinantal_model(pair_slice(v, w))
     assert eqs and sorted(calls) == list(range(len(free_coordinates(v, w))))
 
 
 def test_determinantal_model_of_equal_pair_empty():
     v = make_permutation([2, 1, 4, 3])
-    assert determinantal_model(v, v) == []
+    assert determinantal_model(pair_slice(v, v)) == []
 
 
 def test_equal_pair_expands_no_minor(monkeypatch):
@@ -564,7 +602,7 @@ def test_equal_pair_expands_no_minor(monkeypatch):
 
     monkeypatch.setattr(schubsing.slices, "sym_det", no_minors)
     w = make_permutation([*range(11, 21), *range(1, 11)])
-    assert determinantal_model(w, w) == []
+    assert determinantal_model(pair_slice(w, w)) == []
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -623,6 +661,21 @@ def test_slice_report_non_component_pair():
     assert report["verdict"] is None
     assert report["equations"] == []
     assert report["determinantal_equations"]
+
+
+def test_slice_report_builds_the_interval_mask_once(monkeypatch):
+    """The component search reads w's interval once, as the sweep does."""
+    masks = []
+    real = SymmetricGroup.lower_mask
+
+    def counted(self, wi):
+        masks.append(wi)
+        return real(self, wi)
+
+    monkeypatch.setattr(SymmetricGroup, "lower_mask", counted)
+    report = slice_report(make_permutation([2, 1, 4, 3]), make_permutation([4, 2, 3, 1]), trials=3)
+    assert report["type"] == "4231"
+    assert len(masks) == 2  # w's interval, then the one component's
 
 
 def test_slice_report_incomparable_raises():
