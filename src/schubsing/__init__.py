@@ -52,7 +52,7 @@ from .tangent import TangentReport, singular_components, tangent_dimension
 __version__ = "0.1.0"
 
 # The one interval-mask kernel is pure Python; benchmark results are stamped
-# with this name.
+# with this name, which perfbench/run.py reads, so it stays public.
 BACKEND = "python"
 
 __all__ = [

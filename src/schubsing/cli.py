@@ -36,10 +36,10 @@ from .tangent import tangent_dimension
 
 __all__ = ["main"]
 
-# n = 8 waits on one recorded S_8 run (ROADMAP item 1).  The compact KL memo
-# should fit: the serial S_7 sweep peaks at about 32 MB, and the S_8 memo
-# holds 170,288,585 entries at 4 bytes each (two-byte indices and ids),
-# about 0.7 GB.
+# n = 8 waits on one recorded S_8 run (ROADMAP item 3).  The KL memo should
+# fit: the serial S_7 sweep peaks at about 24 MB, and the S_8 memo holds
+# 9,551,060 left-coset tops at 8 bytes each (an int index and an int id),
+# about 80 MB; all S_8 tables built in one process peak at 127 MB RSS.
 _VERIFY_MAX_N = 7
 # Bounds the time and the output of one query, checked before any work.  The
 # worst w found in S_20 for singular-locus, 11..20,1..10, has 2,025

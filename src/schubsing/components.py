@@ -461,7 +461,8 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
     raises :class:`ClassificationError` or fails the downstream structural
     checks.  The tangent count m(w, v) is read from the interval kernel of
     :mod:`schubsing.symgroup`, so like ``singular_components`` this needs
-    n <= ``MAX_N``.
+    n <= ``MAX_N``.  The sweep classifies through ``enumerate_components``;
+    this stays public because ``perfbench/traced.py`` times it.
     """
     group = symmetric_group(w.n)
     mask = group.lower_mask(group.index_of(w.values))

@@ -6,30 +6,35 @@ Two independent routes, kept strictly apart so they can check each other:
   component off its family: ``1 + q + ... + q^min(l, m)`` for 4231,
   ``1 + q^(l+1)`` for 3412*, and ``1 + q`` for 3412empty.
 * :func:`kl_recursion` evaluates the standard defining recursion in the
-  Hecke algebra, with exact integer coefficients.  Writing s for the
-  smallest left descent of w (always that one, for determinism) and
-  c = 1 if s.v < v else 0:
+  Hecke algebra, with exact integer coefficients.
 
-      P(v, w) = q^(1-c) P(s.v, s.w) + q^c P(v, s.w)
-                - sum over z with v <= z < s.w and s.z < z of
-                      mu(z, s.w) q^((len(w)-len(z))/2) P(v, z)
+For every left descent s of w, P(v, w) = P(s.v, w) (Kazhdan-Lusztig,
+Invent. Math. 53, 1979, 2.3), and v <= w iff s.v <= w.  So P(., w) is
+constant on each coset W_D v of the parabolic subgroup generated by the left
+descents D of w, and the table of w stores it only at the top of each coset
+below w: the v <= w with s.v < v for every s in D (Bjorner-Brenti, GTM 231,
+ch. 5).  A lookup lifts v to its top along left multiplications by D and
+binary-searches the stored tops; a top that is not stored is not below w.
 
-  where mu(z, y) is the coefficient of q^((len(y)-len(z)-1)/2) in P(z, y).
+Writing s for the smallest left descent of w, every stored v has s.v < v,
+so one rule gives each entry:
+
+    P(v, w) = P(s.v, s.w) + q P(v, s.w)
+              - sum over z with v <= z < s.w and s.z < z of
+                    mu(z, s.w) q^((len(w)-len(z))/2) P(v, z)
+
+where mu(z, y) is the coefficient of q^((len(y)-len(z)-1)/2) in P(z, y).
+A z < y that is not a coset top of y has s.z > z for some left descent s of
+y, and P(z, y) = P(s.z, y) has degree at most (len(y)-len(z)-2)/2, so
+mu(z, y) = 0 unless s.z = y, where mu = 1.
 
 Polynomials are dense tuples of nonnegative integer coefficients, constant
 term first.  Each distinct polynomial is interned once in a process-wide
-list (all of S_7 has only 98 of them), and the table of w is stored compactly
-as two parallel arrays: the lower interval of w (group indices ascending,
-two bytes each for n <= 8) and one polynomial id per interval element, in
-the narrowest of one, two or four bytes that holds every id interned when
-the table is stored.  A pair (v, w) is looked up by binary search for v in
-the interval of w; a v that is not there is not below w.  The memo is
-module-level and lock-guarded, so concurrent sweeps either share it
-safely or (as the multiprocessing sweep does) keep one per worker process.
-
-An entry with no correction term is a function of c and the ids of
-P(s.v, s.w) and P(v, s.w) alone.  All of S_7 has only 408 such triples, so
-each is summed once and memoized to the id of its result.
+list (all of S_7 has only 98 of them).  A table holds two parallel int
+arrays, the tops ascending and one polynomial id per top, and the left
+descents of w.  The memo is module-level and lock-guarded, so concurrent
+sweeps either share it safely or (as the multiprocessing sweep does) keep
+one per worker process.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
+from functools import cache
+from itertools import compress
 
 from .perms import Permutation, bruhat_leq
 from .symgroup import SymmetricGroup, symmetric_group
@@ -45,34 +52,31 @@ __all__ = ["KLPoly", "kl_recursion", "clear_kl_cache"]
 
 KLPoly = tuple[int, ...]
 
-# A table stores its ids in the first typecode whose limit is at least the
-# number of polynomials interned so far (every id is below that number), and
-# in "i" past the last one, so ids never wrap.
-_ID_LIMITS = (("B", 1 << 8), ("H", 1 << 16))
-
 # The interned polynomials, never shrunk: ids stay valid for the whole process.
 _polys: list[KLPoly] = []
 _poly_ids: dict[KLPoly, int] = {}
-# (n, w index) -> (interval of w, polynomial id per interval element).
-_tables: dict[tuple[int, int], tuple[array, array]] = {}
-# (n, y index) -> (every z < y with mu(z, y) != 0, ascending; mu(z, y) per z).
+# A table of w: its coset tops ascending, the polynomial id of each, and its
+# left descents as a bitset (bit a - 1 for s_a).
+_Table = tuple[array, array, int]
+# (n, w index) -> the table of w.
+_tables: dict[tuple[int, int], _Table] = {}
+# (n, y index) -> (every z < y with mu(z, y) != 0; mu(z, y) per z).
 _mu_supports: dict[tuple[int, int], tuple[array, array]] = {}
-# (c, id of P(s.v, s.w), id of P(v, s.w)) -> id of P(v, w), for the entries
-# the correction sum does not touch.  Ids are never reused, so this survives
-# clear_kl_cache; threads that race on a triple store the same id.
-_plain_ids: dict[tuple[int, int, int], int] = {}
 _lock = threading.RLock()
 
 
 def kl_recursion(v: Permutation, w: Permutation) -> KLPoly:
-    """P(v, w) by the defining recursion; requires v <= w."""
+    """P(v, w) by the defining recursion; requires v <= w.
+
+    >>> kl_recursion(Permutation((2, 1, 4, 3)), Permutation((4, 2, 3, 1)))
+    (1, 1)
+    """
     if not bruhat_leq(v, w):
         raise ValueError(
             f"{v.values} is not Bruhat-below {w.values}; P(v, w) would be zero"
         )
     group = symmetric_group(w.n)
-    interval, ids = _kl_table(group, group.index_of(w.values))
-    return _polys[ids[bisect_left(interval, group.index_of(v.values))]]
+    return _lookup(group, _kl_table(group, group.index_of(w.values)), group.index_of(v.values))
 
 
 def clear_kl_cache() -> None:
@@ -98,13 +102,45 @@ def _intern(poly: KLPoly) -> int:
     return pid
 
 
-def _lookup_id(table: tuple[array, array], vi: int) -> int:
-    """The id of P(v, w) from the table of w, or -1 (the zero polynomial) if v is not <= w."""
-    interval, ids = table
-    k = bisect_left(interval, vi)
-    if k < len(interval) and interval[k] == vi:
-        return ids[k]
-    return -1
+@cache
+def _descent_sets(n: int) -> bytes:
+    """Byte v: the left descents of v in S_n, bit a - 1 set iff s_a.v < v.
+
+    s_a.v < v iff a + 1 comes before a in v.  In lexicographic order S_n is n
+    blocks of (n - 1)!, block b holding the v with v(1) = b + 1, whose tails,
+    relabelled onto 1..n-1, run through S_{n-1}.  In block b, a = b is a
+    descent and a = b + 1 is not; the tail's descent a' is the descent a' of v
+    below b and a' + 1 above.
+    """
+    sets = b"\0"
+    for m in range(2, n + 1):
+        # In block b the tail's bits below b - 1 stay, its bit b - 1 gives way
+        # to the descent a = b (no bit for b = 0), and its bits from b on move
+        # up one.  Masking to a byte only trims patterns no tail has.
+        sets = b"".join(
+            sets.translate(
+                bytes(((x | 1 << b >> 1) & (1 << b) - 1 | x >> b << b + 1) & 0xFF for x in range(256))
+            )
+            for b in range(m)
+        )
+    return sets
+
+
+@cache
+def _has_all(descents: int) -> bytes:
+    """A translation table: byte x to 1 if x has every bit of ``descents``, else to 0."""
+    return bytes(x & descents == descents for x in range(256))
+
+
+def _lookup(group: SymmetricGroup, table: _Table, vi: int) -> KLPoly:
+    """P(v, w) from the table of w: v lifted to its coset top, which is stored iff v <= w."""
+    tops, ids, descents = table
+    sets, lmul, stride = _descent_sets(group.n), group.lmul, group.n - 1
+    while missing := descents & ~sets[vi]:
+        # Lift by s_a for the smallest left descent a of w with s_a.v > v.
+        vi = lmul[vi * stride + (missing & -missing).bit_length() - 1]
+    k = bisect_left(tops, vi)
+    return _polys[ids[k]] if k < len(tops) and tops[k] == vi else ()
 
 
 def _strip(coeffs: list[int]) -> KLPoly:
@@ -123,96 +159,70 @@ def _add_shifted(acc: list[int], poly: KLPoly, shift: int, scale: int = 1) -> No
 
 
 def _mu_support(group: SymmetricGroup, yi: int) -> tuple[array, array]:
-    """All z < y with mu(z, y) nonzero, ascending, and their mu values."""
+    """All z < y with mu(z, y) nonzero: the stored tops of full degree, then each s.y."""
     key = (group.n, yi)
     with _lock:
         cached = _mu_supports.get(key)
         if cached is not None:
             return cached
-    interval, ids = _kl_table(group, yi)
-    lengths = group.lengths
-    ly = lengths[yi]
-    zs, mus = array(interval.typecode), array("i")
-    for zi, pid in zip(interval, ids):
-        gap = ly - lengths[zi]
-        if gap % 2 == 1:
-            poly = _polys[pid]
-            if len(poly) == (gap - 1) // 2 + 1:
-                zs.append(zi)
-                mus.append(poly[-1])
-    support = (zs, mus)
+    tops, ids, descents = _kl_table(group, yi)
+    lengths, ly, stride = group.lengths, group.lengths[yi], group.n - 1
+    s_y = [group.lmul[yi * stride + a] for a in range(stride) if descents >> a & 1]
+    # deg P(z, y) = (ly - lz - 1) / 2 exactly when the polynomial has (ly - lz + 1) / 2 terms.
+    full = [k for k, zi in enumerate(tops) if 2 * len(_polys[ids[k]]) == ly - lengths[zi] + 1]
+    zs = array("i", [tops[k] for k in full] + s_y)
+    support = (zs, array("i", [_polys[ids[k]][-1] for k in full] + [1] * len(s_y)))
     with _lock:
         _mu_supports[key] = support
     return support
 
 
-def _kl_table(group: SymmetricGroup, wi: int) -> tuple[array, array]:
-    """The interval of w and, parallel to it, the id of P(v, w) for each v."""
+def _kl_table(group: SymmetricGroup, wi: int) -> _Table:
+    """The coset tops below w, the id of P(v, w) for each top v, and w's left descents."""
     key = (group.n, wi)
     with _lock:
         cached = _tables.get(key)
         if cached is not None:
             return cached
-
-    # Two bytes per index up to S_8 (8! = 40,320); S_9 needs four.
-    interval = array("H" if group.order <= 1 << 16 else "i", group.interval(wi))
-    # s = s_a for the smallest a with s_a.w < w; s.v sits in column a - 1 of
-    # the left-multiplication table.
-    lmul, stride, lengths = group.lmul, group.n - 1, group.lengths
-    lw = lengths[wi]
-    row = lmul[wi * stride : (wi + 1) * stride]
-    col = next((a for a, swi in enumerate(row) if lengths[swi] < lw), None)
-    if col is None:
-        return _store(key, interval, [_intern((1,))])
-
-    swi = row[col]
-    sub = _kl_table(group, swi)
-    # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
-    # P(v, z) is zero unless v is in z's interval, so each z walks its own
-    # table once and adds its term to the correction of each v there.
-    corrections: dict[int, list[int]] = {}
-    for zi, mu in zip(*_mu_support(group, swi)):
-        if lengths[lmul[zi * stride + col]] < lengths[zi]:
-            shift = (lw - lengths[zi]) // 2
-            for vi, pid in zip(*_kl_table(group, zi)):
-                corr = corrections.get(vi)
-                if corr is None:
-                    corr = corrections[vi] = []
-                _add_shifted(corr, _polys[pid], shift, -mu)
-
-    ids = []
-    for vi in interval:
-        svi = lmul[vi * stride + col]
-        c = 1 if lengths[svi] < lengths[vi] else 0
-        plain = (c, _lookup_id(sub, svi), _lookup_id(sub, vi))
-        corr = corrections.get(vi)
-        if corr is not None:
-            acc = _plain_sum(*plain)
-            _add_shifted(acc, corr, 0)
-            ids.append(_intern(_strip(acc)))
-            continue
-        pid = _plain_ids.get(plain)
-        if pid is None:
-            pid = _plain_ids[plain] = _intern(_strip(_plain_sum(*plain)))
-        ids.append(pid)
-    return _store(key, interval, ids)
-
-
-def _plain_sum(c: int, sv_id: int, v_id: int) -> list[int]:
-    """q^(1-c) P(s.v, s.w) + q^c P(v, s.w), from the two ids (-1 for zero)."""
-    acc: list[int] = []
-    if sv_id >= 0:
-        _add_shifted(acc, _polys[sv_id], 1 - c)
-    if v_id >= 0:
-        _add_shifted(acc, _polys[v_id], c)
-    return acc
-
-
-def _store(key: tuple[int, int], interval: array, ids: list[int]) -> tuple[array, array]:
-    """Memoize a table, its ids in the narrowest typecode that holds every interned id."""
-    count = len(_polys)
-    code = next((code for code, limit in _ID_LIMITS if count <= limit), "i")
-    table = (interval, array(code, ids))
+    descents = _descent_sets(group.n)[wi]
+    tops = _coset_tops(group, wi, descents)
+    # Only the identity has no left descent, and P(e, e) = 1.
+    if descents:
+        ids = _entries(group, wi, tops, (descents & -descents).bit_length() - 1)
+    else:
+        ids = array("i", [_intern((1,))])
+    table = (tops, ids, descents)
     with _lock:
         _tables[key] = table
     return table
+
+
+def _coset_tops(group: SymmetricGroup, wi: int, descents: int) -> array:
+    """The v <= w, ascending, that have every left descent in ``descents`` (bit a - 1 for s_a)."""
+    selected = _descent_sets(group.n).translate(_has_all(descents))
+    below = int.from_bytes(group.lower_mask(wi), "big") & int.from_bytes(selected, "big")
+    return array("i", compress(range(group.order), below.to_bytes(group.order, "big")))
+
+
+def _entries(group: SymmetricGroup, wi: int, tops: array, col: int) -> array:
+    """The id of P(v, w) for each top v of w, by the recursion along s = s_a, col = a - 1."""
+    lmul, stride, lengths = group.lmul, group.n - 1, group.lengths
+    swi, lw = lmul[wi * stride + col], lengths[wi]
+    # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
+    corrections: dict[int, list[int]] = {}
+    for zi, mu in zip(*_mu_support(group, swi)):
+        if _descent_sets(group.n)[zi] >> col & 1:
+            table, lz = _kl_table(group, zi), lengths[zi]
+            for k, vi in enumerate(tops):
+                poly = _lookup(group, table, vi) if lengths[vi] <= lz else ()
+                if poly:
+                    corr = corrections.setdefault(k, [])
+                    _add_shifted(corr, poly, (lw - lz) // 2, -mu)
+    sub = _kl_table(group, swi)
+    ids = array("i")
+    for k, vi in enumerate(tops):
+        acc = list(_lookup(group, sub, lmul[vi * stride + col]))
+        _add_shifted(acc, _lookup(group, sub, vi), 1)
+        _add_shifted(acc, corrections.get(k, ()), 0)
+        ids.append(_intern(_strip(acc)))
+    return ids

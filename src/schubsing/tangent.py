@@ -72,7 +72,10 @@ def _singular_counts(w: Permutation) -> tuple[SymmetricGroup, dict[int, int]]:
 
 
 def singular_points(w: Permutation) -> set[Permutation]:
-    """Fixed points v <= w where the tangent dimension exceeds length(w)."""
+    """Fixed points v <= w where the tangent dimension exceeds length(w).
+
+    No caller in the package; it stays public because ``perfbench/traced.py`` times it.
+    """
     group, counts = _singular_counts(w)
     return {group.perm(vi) for vi in counts}
 

@@ -18,7 +18,6 @@ from schubsing.perms import (
     longest_element,
     make_permutation,
     parse_permutation,
-    rank_excess_region,
     rank_table,
     transposition,
 )
@@ -230,6 +229,25 @@ def test_bruhat_extremes(values):
 
 # ---------------------------------------------------------------------------
 # excess region
+
+
+def rank_excess_region(v, w):
+    """Cells where the rank table of v strictly exceeds the one of w.
+
+    For v <= w this is the region that carries all the local geometry of the
+    pair: it is empty exactly when v = w, and every slice coordinate found by
+    :func:`schubsing.slices.free_coordinates` has its test rectangle inside it.
+    """
+    if v.n != w.n:
+        raise ValueError(f"size mismatch: {v.n} vs {w.n}")
+    rv = rank_table(v)
+    rw = rank_table(w)
+    return frozenset(
+        (p, q)
+        for p in range(1, v.n)
+        for q in range(1, v.n)
+        if rv[p][q] > rw[p][q]
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

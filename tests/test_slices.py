@@ -18,7 +18,6 @@ from schubsing.perms import (
     inverse,
     length,
     make_permutation,
-    rank_excess_region,
     rank_table,
 )
 from schubsing.slices import (
@@ -81,13 +80,13 @@ def test_mv_support_shape():
 
 
 def reference_free_coordinates(v, w):
-    """Chart positions whose test rectangle lies in the excess region, cell by cell."""
-    region = rank_excess_region(v, w)
+    """Chart positions whose test rectangle lies in the excess region (r_v > r_w), cell by cell."""
+    rv, rw = rank_table(v), rank_table(w)
     vinv = inverse(v)
     return [
         (j, k)
         for j, k in mv_support(v)
-        if all((p, q) in region for p in range(j, vinv(k)) for q in range(v(j), k))
+        if all(rv[p][q] > rw[p][q] for p in range(j, vinv(k)) for q in range(v(j), k))
     ]
 
 
