@@ -1,36 +1,22 @@
-"""The three generic component families, and classification into them.
+"""The three generic component families, and the components of a w.
 
-Every Bruhat-maximal singular point v of a Schubert variety X_w falls into
-exactly one family, recognized here from three integers and one frame test:
+Each component of the singular locus of X_w is one Bruhat-maximal singular
+point v, and falls into exactly one family.  A family is fixed by its side
+counts l and m, which give the codimension d = length(w) - length(v) and the
+excess e = m(w, v) - length(w) (tangent count minus cell dimension):
 
-* codimension d = length(w) - length(v),
-* excess e = m(w, v) - length(w) (tangent count minus cell dimension),
-* the support S = {i : v(i) != w(i)} of the moved positions.
+``4231`` type: d = l + m + 1 and e = l.m with l, m >= 1; the transversal
+slice is a cone of rank-one (l+1) x (m+1) matrices.
 
-``4231`` type: the first moved position carries the largest moved value of
-w.  Then d = l + m + 1 and e = l.m for integers l, m >= 1, recovered as the
-roots of x^2 - (d-1)x + e; the transversal slice is a cone of rank-one
-(l+1) x (m+1) matrices.
+``3412*`` type (a chain of points inside the central square): d = 2l + 3 and
+e = 1; the slice is a quadric cone of dimension 2l + 3.
 
-``3412*`` type (a point of the frame sits inside the central square):
-e = 1, d = 2l + 3; the slice is a quadric cone of dimension 2l + 3.
+``3412empty`` type (empty central square): d = l + m + 3 and e = l + m + 1;
+the slice is a cone of rank-one 2 x (l+m+2) matrices.
 
-``3412empty`` type (empty central square): e = d - 2 with aggregate
-l + m = d - 3; only the sum of the two side counts is determined by (d, e),
-and the slice is a cone of rank-one 2 x (l+m+2) matrices.
-
-The signature (d, e) = (3, 1) is claimed by both the smallest 4231 type and
-the smallest 3412* type; the frame test decides, and nothing downstream can
-tell the difference (a 2 x 2 rank-one cone is the same variety as a
-3-dimensional quadric cone).  Any arithmetic that fails to come out exact
-raises :class:`ClassificationError`; the slice builder cross-checks the
-outcome structurally, so a wrong branch cannot survive the test sweeps.
-
-Two routes give the components.  :func:`enumerate_components` takes the
-Bruhat-maximal singular points from the tangent counts of the symmetric-group
-kernel and classifies each as above; it is the oracle, and the sweeps use it.
-:func:`components_from_patterns` builds them straight from w's pattern
-configurations, in polynomial time and without the group (Billey-Warrington,
+One route builds the components: :func:`components_from_patterns` reads
+each one, family and sides, straight off w's pattern configurations, in
+polynomial time and without the group (Billey-Warrington,
 "Maximal singular loci of Schubert varieties in SL(n)/B", Trans. AMS 2003;
 Manivel, "Le lieu singulier des varietes de Schubert", IMRN 2001;
 Kassel-Lascoux-Reutenauer, "The singular locus of a Schubert variety",
@@ -59,14 +45,17 @@ smaller; both form decreasing chains.
   (3412* when l = 0).  v takes w(i) at j and w(l) at k, and shifts values
   as for 4231 along i -> S, ending in w(k), and along T -> l, starting
   from w(j).
+
+:func:`enumerate_components`, which the sweeps use, checks that list by brute
+force against the Bruhat-maximal singular points and their tangent counts
+from the symmetric-group kernel.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import isqrt
+from itertools import combinations, product, zip_longest
 from random import Random
 from typing import ClassVar, NamedTuple, Sequence
 
@@ -79,8 +68,7 @@ from .linalg import (
     poly_scale,
     poly_var,
 )
-from .perms import Permutation, format_permutation, inverse, length
-from .symgroup import symmetric_group
+from .perms import Permutation, bruhat_leq, format_permutation, inverse, length
 from .tangent import component_counts, tangent_dimension
 
 __all__ = [
@@ -120,13 +108,13 @@ class Component(ABC):
     """One component of the singular locus of X_w; each family is a subclass.
 
     ``l`` and ``m`` are the side counts of the generic cone.  For the two
-    3412 types only one number is meaningful and ``m`` is None: the 3412*
-    slice depends on l alone, and for 3412empty ``l`` stores the aggregate
-    l + m (the individual split is not determined by the invariants).
+    3412 types ``m`` is None: the 3412* slice depends on l alone, and for
+    3412empty ``l`` stores the aggregate l + m, which is all the reports show.
 
-    A family owns its closed Kazhdan-Lusztig form, its double equalities and
-    its slice geometry.  The slice methods take the frame :meth:`fit_frame`
-    returns and the free coordinates, to which a cone point's values align.
+    A family owns its codimension and excess as functions of (l, m), its
+    closed Kazhdan-Lusztig form and its slice geometry.  The slice methods
+    take the frame :meth:`fit_frame` returns and the free coordinates, to
+    which a cone point's values align.
     """
 
     ctype: ClassVar[str]
@@ -134,16 +122,24 @@ class Component(ABC):
     v: Permutation
     l: int
     m: int | None
-    codim: int
-    excess: int
+
+    @property
+    @abstractmethod
+    def codim(self) -> int:
+        """length(w) - length(v), from the side counts."""
+
+    @property
+    @abstractmethod
+    def excess(self) -> int:
+        """m(w, v) - length(w), from the side counts."""
 
     @abstractmethod
     def kl_closed_form(self) -> tuple[int, ...]:
         """The Kazhdan-Lusztig polynomial P(v, w) the family predicts."""
 
-    @abstractmethod
     def formulas_hold(self, lw: int, lv: int, dim: int) -> bool:
-        """Both closed expressions for m(w, v), from length(w) and length(v)."""
+        """Codim and excess against length(w), length(v) and ``dim`` = m(w, v)."""
+        return lw - lv == self.codim and dim - lw == self.excess
 
     @abstractmethod
     def fit_frame(self, free: list[Cell]) -> tuple:
@@ -275,23 +271,22 @@ class RectangleComponent(_RankOneComponent):
     """4231 type: the slice is the cone of rank-one (l+1) x (m+1) matrices."""
 
     ctype = TYPE_4231
+    m: int  # both side counts are set for this family
+
+    @property
+    def codim(self) -> int:
+        return self.l + self.m + 1
+
+    @property
+    def excess(self) -> int:
+        return self.l * self.m
 
     def kl_closed_form(self) -> tuple[int, ...]:
-        assert self.m is not None
         return (1,) * (min(self.l, self.m) + 1)
-
-    def formulas_hold(self, lw: int, lv: int, dim: int) -> bool:
-        assert self.m is not None
-        return (
-            lw - lv == self.l + self.m + 1
-            and dim == lw + self.l * self.m
-            and dim == lv + (self.l + 1) * (self.m + 1)
-        )
 
     def fit_frame(self, free: list[Cell]) -> _Grid:
         rows = sorted({j for j, _ in free})
         cols = sorted({k for _, k in free})
-        assert self.m is not None
         if set(free) != {(j, k) for j in rows for k in cols}:
             raise SliceStructureError(
                 f"4231 slice of {self.v.values}: free coordinates are not a full rectangle"
@@ -315,15 +310,16 @@ class QuadricComponent(Component):
 
     ctype = TYPE_3412_STAR
 
+    @property
+    def codim(self) -> int:
+        return 2 * self.l + 3
+
+    @property
+    def excess(self) -> int:
+        return 1
+
     def kl_closed_form(self) -> tuple[int, ...]:
         return (1,) + (0,) * self.l + (1,)
-
-    def formulas_hold(self, lw: int, lv: int, dim: int) -> bool:
-        return (
-            lw - lv == 2 * self.l + 3
-            and dim == lw + 1
-            and dim == lv + 2 * self.l + 4
-        )
 
     def fit_frame(self, free: list[Cell]) -> _Quadric:
         v = self.v
@@ -394,16 +390,16 @@ class TwoBlockComponent(_RankOneComponent):
 
     ctype = TYPE_3412_EMPTY
 
+    @property
+    def codim(self) -> int:
+        return self.l + 3
+
+    @property
+    def excess(self) -> int:
+        return self.l + 1
+
     def kl_closed_form(self) -> tuple[int, ...]:
         return (1, 1)
-
-    def formulas_hold(self, lw: int, lv: int, dim: int) -> bool:
-        agg = self.l
-        return (
-            lw - lv == agg + 3
-            and dim == lw + agg + 1
-            and dim == lv + 2 * (agg + 2)
-        )
 
     def fit_frame(self, free: list[Cell]) -> _Grid:
         v = self.v
@@ -454,67 +450,48 @@ class TwoBlockComponent(_RankOneComponent):
 
 
 def classify_component(v: Permutation, w: Permutation) -> Component:
-    """Classify a Bruhat-maximal singular point v of X_w.
+    """The component of Sing(X_w) whose generic point is v.
 
-    The caller is expected to pass a component (an element of
-    :func:`schubsing.tangent.singular_components`); anything else either
-    raises :class:`ClassificationError` or fails the downstream structural
-    checks.  The tangent count m(w, v) is read from the interval kernel of
-    :mod:`schubsing.symgroup`, so like ``singular_components`` this needs
-    n <= ``MAX_N``.  The sweep classifies through ``enumerate_components``;
-    this stays public because ``perfbench/traced.py`` times it.
+    Raises ``ValueError`` unless v <= w, and :class:`ClassificationError`
+    unless v is a component point (an element of
+    :func:`schubsing.tangent.singular_components`).  It reads
+    :func:`enumerate_components`, so it needs n <= ``MAX_N``.  The sweep
+    calls ``enumerate_components`` itself; this stays public because
+    ``perfbench/traced.py`` times it.
     """
-    group = symmetric_group(w.n)
-    mask = group.lower_mask(group.index_of(w.values))
-    vi = group.index_of(v.values)
-    if not mask[vi]:
+    if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
-    return _classify(v, w, group.tangent_counts(mask, (vi,))[0])
-
-
-def _classify(v: Permutation, w: Permutation, dim: int) -> Component:
-    """Classify v <= w from its tangent count ``dim`` = m(w, v)."""
-    lw = length(w)
-    d = lw - length(v)
-    e = dim - lw
-    if e <= 0:
+    c = next((c for c in enumerate_components(w) if c.v == v), None)
+    if c is None:
         raise ClassificationError(
-            f"v={v.values} is a smooth point of X_{{{w.values}}} (excess {e})"
+            f"v={v.values} is not a component of the singular locus of X_{{{w.values}}}"
         )
-    moved = [i for i in range(1, w.n + 1) if v(i) != w(i)]
-    if not moved:
-        raise ClassificationError("v equals w; nothing to classify")
-
-    if w(moved[0]) == max(w(i) for i in moved):
-        # 4231 frame: l, m are the roots of x^2 - (d-1)x + e.
-        disc = (d - 1) * (d - 1) - 4 * e
-        root = isqrt(disc) if disc >= 0 else -1
-        if root < 0 or root * root != disc or (d - 1 - root) % 2:
-            raise ClassificationError(
-                f"4231 frame with non-integral side counts: d={d}, e={e}"
-            )
-        l = (d - 1 - root) // 2
-        m = (d - 1 + root) // 2
-        if l < 1:
-            raise ClassificationError(
-                f"4231 frame needs side counts >= 1, got l={l}, m={m}"
-            )
-        return RectangleComponent(v=v, l=l, m=m, codim=d, excess=e)
-    if e == 1:
-        if d < 3 or (d - 3) % 2:
-            raise ClassificationError(f"3412* frame with bad codimension d={d}")
-        return QuadricComponent(v=v, l=(d - 3) // 2, m=None, codim=d, excess=e)
-    if e != d - 2:
-        raise ClassificationError(
-            f"3412empty frame needs e = d - 2, got d={d}, e={e}"
-        )
-    # l stores the aggregate l + m.
-    return TwoBlockComponent(v=v, l=d - 3, m=None, codim=d, excess=e)
+    return c
 
 
 def enumerate_components(w: Permutation) -> list[Component]:
-    """All classified components of Sing(X_w), sorted by one-line notation of v."""
-    return [_classify(v, w, dim) for v, dim in component_counts(w)]
+    """The components of Sing(X_w), checked against the symmetric-group kernel.
+
+    :func:`components_from_patterns` builds the list, sorted by one-line
+    notation of v.  Its points and their tangent counts length(w) + excess
+    must be those of :func:`schubsing.tangent.component_counts`, or this
+    raises :class:`ClassificationError` at the first disagreement.
+
+    >>> from .perms import make_permutation
+    >>> [(c.v.values, c.ctype, c.l) for c in enumerate_components(make_permutation([4, 5, 3, 1, 2]))]
+    [((1, 4, 3, 2, 5), '3412*', 1)]
+    """
+    comps = components_from_patterns(w)
+    lw = length(w)
+    found = [(c.v.values, lw + c.excess) for c in comps]
+    counted = [(v.values, dim) for v, dim in component_counts(w)]
+    if found != counted:
+        mine, kernel = next(pair for pair in zip_longest(found, counted) if pair[0] != pair[1])
+        raise ClassificationError(
+            f"X_{{{w.values}}}: the patterns give (v, m(w, v)) = {mine}, "
+            f"the tangent counts {kernel}"
+        )
+    return comps
 
 
 _Dot = tuple[int, int]  # a point (position, value) of w's permutation matrix
@@ -541,10 +518,9 @@ def _minima(dots: list[_Dot]) -> list[_Dot]:
 def components_from_patterns(w: Permutation) -> list[Component]:
     """All components of Sing(X_w), read off w's 4231 and 3412 configurations.
 
-    The same list as :func:`enumerate_components`, without the symmetric
-    group: no interval, no tangent count, polynomial in n.  Each family's
-    double equalities are checked against the lengths of w and v, and a
-    failure raises :class:`ClassificationError`.
+    No symmetric group, no interval and no tangent count: polynomial in n.
+    Each component's codimension is checked against the lengths of w and v,
+    and a failure raises :class:`ClassificationError`.
     """
     vals = w.values
     n = w.n
@@ -554,7 +530,7 @@ def components_from_patterns(w: Permutation) -> list[Component]:
     def inside(p0: int, p1: int, v0: int, v1: int) -> list[_Dot]:
         return [(p, vals[p - 1]) for p in range(p0 + 1, p1) if v0 < vals[p - 1] < v1]
 
-    def emit(family: type[Component], side_l: int, side_m: int | None, excess: int,
+    def emit(family: type[Component], side_l: int, side_m: int | None,
              targets: list[int], images: list[int]) -> None:
         # Position targets[t] of v carries images[t]; v agrees with w elsewhere.
         v_vals = list(vals)
@@ -562,8 +538,8 @@ def components_from_patterns(w: Permutation) -> list[Component]:
             v_vals[p - 1] = x
         v = Permutation(tuple(v_vals))
         lv = length(v)
-        c = family(v=v, l=side_l, m=side_m, codim=lw - lv, excess=excess)
-        if not c.formulas_hold(lw, lv, lw + excess):
+        c = family(v=v, l=side_l, m=side_m)
+        if not c.formulas_hold(lw, lv, lw + c.excess):
             raise ClassificationError(
                 f"{family.ctype} configuration of {vals} gives v={v.values} "
                 f"with codimension {lw - lv}, against l={side_l}, m={side_m}"
@@ -591,7 +567,7 @@ def components_from_patterns(w: Permutation) -> list[Component]:
                 chain_s, chain_t = _maxima(region[:s]), _minima(region[s:])
                 side_l, side_m = sorted((len(chain_s), len(chain_t)))
                 emit(
-                    RectangleComponent, side_l, side_m, side_l * side_m,
+                    RectangleComponent, side_l, side_m,
                     [i] + [p for p, _ in chain_s] + [p for p, _ in chain_t] + [l],
                     [x for _, x in chain_s] + [d, a] + [x for _, x in chain_t],
                 )
@@ -624,17 +600,15 @@ def components_from_patterns(w: Permutation) -> list[Component]:
                             continue
                         chain_s, chain_t = [], []
                         family: type[Component] = QuadricComponent
-                        side_l, excess = len(centre), 1
+                        side_l = len(centre)
                     else:
                         # Empty centre: the maxima of the left side and the
                         # minima of the right side are the two chains.
                         chain_s, chain_t = _maxima(left), _minima(right)
                         side_l = len(chain_s) + len(chain_t)
-                        family, excess = (
-                            (TwoBlockComponent, side_l + 1) if side_l else (QuadricComponent, 1)
-                        )
+                        family = TwoBlockComponent if side_l else QuadricComponent
                     emit(
-                        family, side_l, None, excess,
+                        family, side_l, None,
                         [i] + [p for p, _ in chain_s] + [j, k]
                         + [p for p, _ in chain_t] + [l],
                         [x for _, x in chain_s] + [c, a, d, b]
@@ -645,9 +619,9 @@ def components_from_patterns(w: Permutation) -> list[Component]:
 
 
 def verify_formulas(c: Component, w: Permutation) -> bool:
-    """Check the family's double equalities against the slow tangent count.
+    """Check the family's codim and excess against the slow tangent count.
 
-    The family was fitted from the kernel's count; here m(w, v) comes from
-    the oracle :func:`schubsing.tangent.tangent_dimension`.
+    :func:`enumerate_components` matched the excess to the kernel's count;
+    here m(w, v) comes from the oracle :func:`schubsing.tangent.tangent_dimension`.
     """
     return c.formulas_hold(length(w), length(c.v), tangent_dimension(c.v, w).dim)

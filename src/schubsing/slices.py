@@ -469,7 +469,7 @@ def verify_slice(
     if c is None:
         raise ValueError("only a component's slice has checks to run")
     failures: list[str] = []
-    # m(w, v) - length(v), with m(w, v) as counted when c was classified.
+    # m(w, v) - length(v), from the family's side counts.
     expected_dim = c.codim + c.excess
     tangent_ok = len(model.free) == expected_dim and all(
         poly_is_homogeneous_quadratic(eq) for eq in model.closed_equations

@@ -4,7 +4,8 @@ Each test prints a single summary line (visible even under output capture)
 and then asserts.  Criteria 1-5 sweep every permutation of S_n for n up to
 6; criterion 8 extends the sweep to S_7 and runs only when the environment
 variable SCHUBSING_N7 is set (minutes of single-core runtime), and also
-compares the pattern route of ``singular-locus`` with the kernel route there.
+compares the pattern route of ``singular-locus`` there with an independent
+classification of the kernel's tangent counts.
 """
 
 import hashlib
@@ -20,7 +21,6 @@ from schubsing import kl
 from schubsing.components import (
     classify_component,
     components_from_patterns,
-    enumerate_components,
     verify_formulas,
 )
 from schubsing.kl import kl_recursion
@@ -34,7 +34,13 @@ from schubsing.slices import (
 )
 from schubsing.sweep import component_pairs, verify_all
 from schubsing.symgroup import symmetric_group
-from schubsing.tangent import singular_components, singular_points, tangent_dimension
+from schubsing.tangent import (
+    component_counts,
+    singular_components,
+    singular_points,
+    tangent_dimension,
+)
+from test_components import reference_classify
 
 SWEEP_SIZES = (2, 3, 4, 5, 6)
 
@@ -272,12 +278,13 @@ def test_criterion_8_extended_sweep(capsys):
     start = time.perf_counter()
     jobs = int(os.environ.get("SCHUBSING_JOBS", "1"))
     report = verify_all(7, trials=50, seed=DEFAULT_SEED, jobs=jobs)
-    # The pattern route of singular-locus against the kernel route, per w.
+    # The pattern route of singular-locus against the reference classification
+    # of the kernel's tangent counts, per w.
     route_mismatches = []
     for values in itertools.permutations(range(1, 8)):
         w = Permutation(values)
-        fast = [c.json_fields() for c in components_from_patterns(w)]
-        if fast != [c.json_fields() for c in enumerate_components(w)]:
+        slow = [reference_classify(v, w, dim) for v, dim in component_counts(w)]
+        if components_from_patterns(w) != slow:
             route_mismatches.append(values)
     # Every table of S_7, built in this process: 98 distinct polynomials.  A
     # table stores P(v, w) only at the coset tops, which take every value

@@ -314,6 +314,16 @@ def test_classification_error_exits_1(capsys, monkeypatch):
     assert err == "error: 4231 configuration does not fit\n"
 
 
+def test_report_exits_1_when_patterns_and_tangent_counts_disagree(capsys, monkeypatch):
+    monkeypatch.setattr("schubsing.components.components_from_patterns", lambda w: [])
+    code, out, err = run_cli(capsys, "report", "4231")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: X_{(4, 2, 3, 1)}: the patterns give (v, m(w, v)) = None, "
+        "the tangent counts ((2, 1, 4, 3), 6)\n"
+    )
+
+
 def test_verify_all_n6_stdout_is_pinned(capsys):
     """The S_6 sweep at the default seed prints the same bytes as it always has."""
     code, out, err = run_cli(capsys, "verify-all", "--n", "6")

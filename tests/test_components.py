@@ -1,11 +1,14 @@
 """Tests for singular-locus component classification."""
 
+import dataclasses
 import itertools
 import random
 from array import array
+from math import isqrt
 
 import pytest
 
+from schubsing import components
 from schubsing.components import (
     DIGITS,
     NONZERO_DIGITS,
@@ -22,11 +25,49 @@ from schubsing.components import (
     enumerate_components,
     verify_formulas,
 )
+from schubsing.patterns import is_smooth
 from schubsing.perms import Permutation, bruhat_leq, identity, length, make_permutation
 from schubsing.slices import free_coordinates
 from schubsing.sweep import component_pairs
 from schubsing.symgroup import SymmetricGroup
-from schubsing.tangent import singular_components, tangent_dimension
+from schubsing.tangent import (
+    component_counts,
+    singular_components,
+    singular_points,
+    tangent_dimension,
+)
+
+
+def reference_classify(v, w, dim):
+    """Classify v <= w from (d, e) and one frame test, with no pattern data.
+
+    d = length(w) - length(v), e = dim - length(w) for the tangent count
+    ``dim`` = m(w, v), and S = {i : v(i) != w(i)}.  When the first moved
+    position carries the largest moved value of w the frame is 4231, and
+    l <= m are the roots of x^2 - (d-1)x + e.  Otherwise e = 1 is 3412* with
+    d = 2l + 3, and e = d - 2 is 3412empty with aggregate l = d - 3.  The
+    signature (3, 1) fits both the smallest 4231 and the smallest 3412*; the
+    frame test decides.
+    """
+    lw = length(w)
+    d = lw - length(v)
+    e = dim - lw
+    if e <= 0:
+        raise ClassificationError(f"v={v.values} is a smooth point of X_{w.values} (excess {e})")
+    moved = [i for i in range(1, w.n + 1) if v(i) != w(i)]
+    if w(moved[0]) == max(w(i) for i in moved):
+        disc = (d - 1) * (d - 1) - 4 * e
+        root = isqrt(disc) if disc >= 0 else -1
+        if root < 0 or root * root != disc or (d - 1 - root) % 2 or d - 1 - root < 2:
+            raise ClassificationError(f"4231 frame without side counts >= 1: d={d}, e={e}")
+        return RectangleComponent(v=v, l=(d - 1 - root) // 2, m=(d - 1 + root) // 2)
+    if e == 1:
+        if d < 3 or (d - 3) % 2:
+            raise ClassificationError(f"3412* frame with bad codimension d={d}")
+        return QuadricComponent(v=v, l=(d - 3) // 2, m=None)
+    if e != d - 2:
+        raise ClassificationError(f"3412empty frame needs e = d - 2, got d={d}, e={e}")
+    return TwoBlockComponent(v=v, l=d - 3, m=None)
 
 
 def test_classify_4231_component():
@@ -84,26 +125,74 @@ def test_formulas_hold_exhaustively(n):
         assert verify_formulas(c, w), (w.values, c.v.values, c.ctype)
 
 
-def test_formulas_catch_a_wrong_kernel_count(monkeypatch):
-    """Classification reads the kernel's count, verify_formulas the oracle's.
+def _singular_s5():
+    perms = (Permutation(values) for values in itertools.permutations(range(1, 6)))
+    return [w for w in perms if not is_smooth(w)]
 
-    With the kernel count shifted by 2, no S_5 component pair may both
-    classify and pass its double equalities.
+
+def test_formulas_catch_a_wrong_kernel_count(monkeypatch):
+    """With the kernel count shifted by 2, every singular w of S_5 is rejected.
+
+    enumerate_components reads the kernel's count, verify_formulas the oracle's.
     """
-    pairs = [(w, c.v) for w, c in component_pairs(5)]
-    assert len(pairs) == 41
+    singular = _singular_s5()
+    assert len(singular) == 32
     kernel_count = SymmetricGroup.tangent_counts
 
     def shifted(self, wi, cands):
         return array("i", (count + 2 for count in kernel_count(self, wi, cands)))
 
     monkeypatch.setattr(SymmetricGroup, "tangent_counts", shifted)
-    for w, v in pairs:
-        try:
-            c = classify_component(v, w)
-        except ClassificationError:
+    for w in singular:
+        with pytest.raises(ClassificationError):
+            enumerate_components(w)
+
+
+def test_enumerate_components_rejects_a_dropped_component(monkeypatch):
+    """A pattern route that loses its last component fails every singular w of S_5."""
+    singular = _singular_s5()
+    real = components.components_from_patterns
+    monkeypatch.setattr(components, "components_from_patterns", lambda w: real(w)[:-1])
+    for w in singular:
+        with pytest.raises(ClassificationError):
+            enumerate_components(w)
+
+
+def test_enumerate_components_rejects_a_wrong_side_count(monkeypatch):
+    """A last component with l off by one fails the 18 w of S_5 whose excess moves with l.
+
+    The 3412* excess is 1 whatever l is, so the kernel's count cannot see
+    that mutant; emit and verify_formulas check its codimension instead.
+    """
+    lasts = {w: enumerate_components(w)[-1] for w in _singular_s5()}
+    real = components.components_from_patterns
+
+    def off_by_one(w):
+        comps = real(w)
+        return comps[:-1] + [dataclasses.replace(comps[-1], l=comps[-1].l + 1)]
+
+    monkeypatch.setattr(components, "components_from_patterns", off_by_one)
+    caught = 0
+    for w, last in lasts.items():
+        if last.ctype == TYPE_3412_STAR:
             continue
-        assert not verify_formulas(c, w), (w.values, v.values, c.ctype)
+        with pytest.raises(ClassificationError):
+            enumerate_components(w)
+        caught += 1
+    assert caught == 18
+
+
+def test_non_component_singular_points_are_rejected():
+    """A singular point below another one is no component: all 357 of S_4 and S_5."""
+    rejected = 0
+    for n in (4, 5):
+        for values in itertools.permutations(range(1, n + 1)):
+            w = Permutation(values)
+            for v in singular_points(w) - singular_components(w):
+                with pytest.raises(ClassificationError):
+                    classify_component(v, w)
+                rejected += 1
+    assert rejected == 357
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -147,9 +236,8 @@ def test_s5_component_census():
 
 
 def _assert_routes_agree(w):
-    fast = [c.json_fields() for c in components_from_patterns(w)]
-    slow = [c.json_fields() for c in enumerate_components(w)]
-    assert fast == slow, w.values
+    slow = [reference_classify(v, w, dim) for v, dim in component_counts(w)]
+    assert components_from_patterns(w) == slow, w.values
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -220,7 +308,7 @@ def test_draw_values_match_randint_and_choice():
 
 
 def test_enumerate_components_matches_classify_component():
-    """Classifying from the sweep's own tangent counts equals the public route, on S_5."""
+    """Each component point classifies to its own entry of the sweep's list, on S_5."""
     for values in itertools.permutations(range(1, 6)):
         w = Permutation(values)
         vs = sorted(singular_components(w), key=lambda v: v.values)

@@ -97,29 +97,11 @@ def test_singularity_detected_by_nontrivial_polynomial(n):
 
 
 def test_closed_forms_per_type():
-    rect = RectangleComponent(
-        v=make_permutation([2, 1, 4, 3]),
-        l=2,
-        m=3,
-        codim=6,
-        excess=6,
-    )
+    rect = RectangleComponent(v=make_permutation([2, 1, 4, 3]), l=2, m=3)
     assert rect.kl_closed_form() == (1, 1, 1)
-    star = QuadricComponent(
-        v=make_permutation([1, 3, 2, 4]),
-        l=2,
-        m=None,
-        codim=7,
-        excess=1,
-    )
+    star = QuadricComponent(v=make_permutation([1, 3, 2, 4]), l=2, m=None)
     assert star.kl_closed_form() == (1, 0, 0, 1)
-    empty = TwoBlockComponent(
-        v=make_permutation([1, 3, 2, 4]),
-        l=4,
-        m=None,
-        codim=7,
-        excess=5,
-    )
+    empty = TwoBlockComponent(v=make_permutation([1, 3, 2, 4]), l=4, m=None)
     assert empty.kl_closed_form() == (1, 1)
 
 

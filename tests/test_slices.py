@@ -183,7 +183,7 @@ def test_rectangle_minor_count():
 def test_structure_error_on_mislabeled_component():
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
-    wrong = RectangleComponent(v=c.v, l=1, m=1, codim=c.codim, excess=c.excess)
+    wrong = RectangleComponent(v=c.v, l=1, m=1)
     with pytest.raises(SliceStructureError):
         build_slice(wrong, w)
 
