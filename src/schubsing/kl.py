@@ -15,6 +15,10 @@ descents D of w, and the table of w stores it only at the top of each coset
 below w: the v <= w with s.v < v for every s in D (Bjorner-Brenti, GTM 231,
 ch. 5).  A lookup lifts v to its top along left multiplications by D and
 binary-searches the stored tops; a top that is not stored is not below w.
+The tops below w are read off w's interval mask and the left descents of
+every v.  The group supplies those descents and s.v as arrays it builds on
+first use (``SymmetricGroup.descents`` and ``SymmetricGroup.lmul``); this
+module indexes them by permutation and knows nothing of their layout.
 
 Writing s for the smallest left descent of w, every stored v has s.v < v,
 so one rule gives each entry:
@@ -103,30 +107,6 @@ def _intern(poly: KLPoly) -> int:
 
 
 @cache
-def _descent_sets(n: int) -> bytes:
-    """Byte v: the left descents of v in S_n, bit a - 1 set iff s_a.v < v.
-
-    s_a.v < v iff a + 1 comes before a in v.  In lexicographic order S_n is n
-    blocks of (n - 1)!, block b holding the v with v(1) = b + 1, whose tails,
-    relabelled onto 1..n-1, run through S_{n-1}.  In block b, a = b is a
-    descent and a = b + 1 is not; the tail's descent a' is the descent a' of v
-    below b and a' + 1 above.
-    """
-    sets = b"\0"
-    for m in range(2, n + 1):
-        # In block b the tail's bits below b - 1 stay, its bit b - 1 gives way
-        # to the descent a = b (no bit for b = 0), and its bits from b on move
-        # up one.  Masking to a byte only trims patterns no tail has.
-        sets = b"".join(
-            sets.translate(
-                bytes(((x | 1 << b >> 1) & (1 << b) - 1 | x >> b << b + 1) & 0xFF for x in range(256))
-            )
-            for b in range(m)
-        )
-    return sets
-
-
-@cache
 def _has_all(descents: int) -> bytes:
     """A translation table: byte x to 1 if x has every bit of ``descents``, else to 0."""
     return bytes(x & descents == descents for x in range(256))
@@ -135,7 +115,7 @@ def _has_all(descents: int) -> bytes:
 def _lookup(group: SymmetricGroup, table: _Table, vi: int) -> KLPoly:
     """P(v, w) from the table of w: v lifted to its coset top, which is stored iff v <= w."""
     tops, ids, descents = table
-    sets, lmul, stride = _descent_sets(group.n), group.lmul, group.n - 1
+    sets, lmul, stride = group.descents, group.lmul, group.n - 1
     while missing := descents & ~sets[vi]:
         # Lift by s_a for the smallest left descent a of w with s_a.v > v.
         vi = lmul[vi * stride + (missing & -missing).bit_length() - 1]
@@ -184,7 +164,7 @@ def _kl_table(group: SymmetricGroup, wi: int) -> _Table:
         cached = _tables.get(key)
         if cached is not None:
             return cached
-    descents = _descent_sets(group.n)[wi]
+    descents = group.descents[wi]
     tops = _coset_tops(group, wi, descents)
     # Only the identity has no left descent, and P(e, e) = 1.
     if descents:
@@ -199,7 +179,7 @@ def _kl_table(group: SymmetricGroup, wi: int) -> _Table:
 
 def _coset_tops(group: SymmetricGroup, wi: int, descents: int) -> array:
     """The v <= w, ascending, that have every left descent in ``descents`` (bit a - 1 for s_a)."""
-    selected = _descent_sets(group.n).translate(_has_all(descents))
+    selected = group.descents.translate(_has_all(descents))
     below = int.from_bytes(group.lower_mask(wi), "big") & int.from_bytes(selected, "big")
     return array("i", compress(range(group.order), below.to_bytes(group.order, "big")))
 
@@ -211,7 +191,7 @@ def _entries(group: SymmetricGroup, wi: int, tops: array, col: int) -> array:
     # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
     corrections: dict[int, list[int]] = {}
     for zi, mu in zip(*_mu_support(group, swi)):
-        if _descent_sets(group.n)[zi] >> col & 1:
+        if group.descents[zi] >> col & 1:
             table, lz = _kl_table(group, zi), lengths[zi]
             for k, vi in enumerate(tops):
                 poly = _lookup(group, table, vi) if lengths[vi] <= lz else ()

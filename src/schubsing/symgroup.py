@@ -1,26 +1,30 @@
 """Cached enumeration of a full symmetric group for sweep-style computations.
 
 Interval enumeration is done by filtering all of S_n with the rank-table
-domination test; no poset data structure is kept.  For every group we store,
-once per process:
+domination test; no poset data structure and no rank table is kept.  For
+every group we store, once per process:
 
-* the flattened rank tables of all n! permutations, in lexicographic order
-  of one-line notation (one byte per entry),
-* their Coxeter lengths,
-* the index of v.t for every permutation v and transposition t,
-* on first use, the index of s_a.v for every v and simple reflection s_a,
 * one bitset per interior cell (p, q) and threshold k: bit v is set iff
-  r_v(p, q) >= k.
+  r_v(p, q) >= k, with v in lexicographic order of one-line notation,
+* the Coxeter lengths of all n! permutations,
 
-The per-permutation arrays are not built one permutation at a time.  In
-lexicographic order S_n is n consecutive blocks of (n - 1)! permutations:
-block a holds the v with v(1) = a + 1, and their tails, relabelled onto
-1..n - 1, run through S_{n-1} in its own order.  So every array of S_n is
-made of S_{n-1}'s columns, and the builders go up from S_0 one n at a time:
+and build on first use, for the callers that read them:
 
-* rank tables: r_v(p, q) = r_u(p - 1, q - [q > a]) + [q > a] for the tail
-  u, so column (p, q) is S_{n-1}'s column (p - 1, q - 1) raised by one in
-  the q blocks a < q, then its column (p - 1, q) in the others;
+* the index of v.t for every permutation v and transposition t
+  (``tprod``, read by ``tangent_counts``),
+* the index of s_a.v for every v and simple reflection s_a (``lmul``), and
+  the left descents of every v (``descents``), read by the KL recursion.
+
+None of these is built one permutation at a time.  In lexicographic order
+S_n is n consecutive blocks of (n - 1)! permutations: block a holds the v
+with v(1) = a + 1, and their tails, relabelled onto 1..n - 1, run through
+S_{n-1} in its own order.  So every array of S_n is made of S_{n-1}'s, and
+the builders go up from S_1 one n at a time:
+
+* bitsets: r_v(p, q) = r_u(p - 1, q - [q > a]) + [q > a] for the tail u,
+  so {v : r_v(p, q) >= k} is n bitsets of S_{n-1} side by side, block 0 on
+  top: {u : r_u(p - 1, q - 1) >= k - 1} in the q blocks a < q, then
+  {u : r_u(p - 1, q) >= k} in the others;
 * lengths: S_{n-1}'s lengths plus a in block a;
 * v.t for t = (i, j) with i >= 1 moves only the tail: S_{n-1}'s column
   (i - 1, j - 1) plus the block offset a (n - 1)!.  t = (0, 1) swaps the
@@ -28,7 +32,10 @@ made of S_{n-1}'s columns, and the builders go up from S_0 one n at a time:
   them to another run; (0, j) is (1, j).(0, 1).(1, j);
 * s_a.v relabels the tail by s_a or s_{a-1} (S_{n-1}'s column plus the
   block offset), or, when v(1) is a or a + 1, moves v to the neighbouring
-  block at the same offset.
+  block at the same offset;
+* left descents: s_a.v < v iff a + 1 comes before a in v.  In block a,
+  s_a is a descent and s_{a+1} is not; the tail's descent s_b is v's
+  descent s_b for b < a and s_{b+1} for b > a.
 
 No permutation is stored: ``index_of`` computes the lexicographic rank
 from v itself, and ``perm`` unranks an index.
@@ -43,8 +50,8 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, reduce
+from itertools import accumulate, compress
 from math import factorial
 from typing import Sequence
 
@@ -52,17 +59,13 @@ from .perms import Permutation
 
 __all__ = ["MAX_N", "SymmetricGroup", "symmetric_group"]
 
-# 9! tables already take ~36 MB; past that, filtering all of S_n per query is
-# no longer a sane strategy.
+# S_9's bitsets take about 6 MB and its v.t table 52 MB; past that,
+# filtering all of S_n per query is no longer a sane strategy.
 MAX_N = 9
 
-# Byte maps for the bitsets: _AT_LEAST[k] sends a rank byte b to "1" if
-# b >= k, else "0"; _BIT_BYTES sends the digits of a binary string to 0/1.
-_AT_LEAST = tuple(
-    bytes(0x31 if b >= k else 0x30 for b in range(256)) for k in range(MAX_N + 1)
-)
+# _BIT_BYTES sends the digits of a binary string to 0/1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-# _PLUS[k] adds k to every byte (ranks and lengths never reach 256).
+# _PLUS[k] adds k to every byte (lengths never reach 256).
 _PLUS = tuple(bytes((b + k) & 0xFF for b in range(256)) for k in range(MAX_N))
 _ONE = array("i", [1]).tobytes()
 
@@ -79,21 +82,50 @@ def _raised(col: array, offset: int) -> bytes:
     return lanes.to_bytes(len(col) * col.itemsize, sys.byteorder)
 
 
-def _block_tables(n: int, prev: bytes) -> bytes:
-    """Rank tables of S_n from those of S_{n-1}, one (p, q) column at a time."""
-    block, tlen, prev_tlen = factorial(n - 1), (n + 1) * (n + 1), n * n
-    tables = bytearray(block * n * tlen)
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            c = (p - 1) * n + q
-            col = prev[c - 1 :: prev_tlen].translate(_PLUS[1]) * q
-            if q < n:
-                col += prev[c::prev_tlen] * (n - q)
-            tables[p * (n + 1) + q :: tlen] = col
-    return bytes(tables)
+def _block_bitsets(prev: tuple, n: int) -> tuple:
+    """Interior bitsets of S_n from those of S_{n-1}.
+
+    Entry [p - 1][q - 1][k] is {v : r_v(p, q) >= k} for 1 <= p, q < n and
+    k <= min(p, q), bit v counted from the top: v = 0 is the most
+    significant of the n! bits.  Every rank at (p, q) is at least
+    max(0, p + q - n), so the thresholds up to that floor select all of S_n
+    and get -1, the int with every bit set.
+    """
+    block = factorial(n - 1)
+    everything = (1 << block) - 1
+
+    def tail_bits(p: int, q: int, k: int) -> int:
+        """{u in S_{n-1} : r_u(p, q) >= k}, also on the border cells."""
+        if k <= 0:
+            return everything
+        if p == 0 or q == 0:
+            return 0
+        if q == n - 1:
+            return everything if k <= p else 0
+        bits = prev[p - 1][q - 1]
+        return bits[k] & everything if k < len(bits) else 0
+
+    rows = []
+    for p in range(1, n):
+        row = []
+        for q in range(1, n):
+            bits = [-1] * (max(0, p + q - n) + 1)
+            for k in range(len(bits), min(p, q) + 1):
+                acc = 0
+                for a in range(n):
+                    acc = acc << block | tail_bits(p - 1, q - (q > a), k - (q > a))
+                bits.append(acc)
+            row.append(tuple(bits))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def _block_tprod(n: int, prev: array) -> array:
+def _block_lengths(prev: bytes, n: int) -> bytes:
+    """Coxeter lengths of S_n from those of S_{n-1}: plus a in block a."""
+    return b"".join(prev.translate(_PLUS[a]) for a in range(n))
+
+
+def _block_tprod(prev: array, n: int) -> array:
     """v.t indices of S_n from those of S_{n-1}, written one column at a time."""
     block = factorial(n - 1)
     ntrans, prev_ntrans = n * (n - 1) // 2, (n - 1) * (n - 2) // 2
@@ -129,7 +161,7 @@ def _block_tprod(n: int, prev: array) -> array:
     return tprod
 
 
-def _block_lmul(n: int, prev: array) -> array:
+def _block_lmul(prev: array, n: int) -> array:
     """s_a.v indices of S_n from those of S_{n-1}, written one column at a time."""
     block, stride, prev_stride = factorial(n - 1), n - 1, n - 2
     ident = array("i", range(block))
@@ -151,14 +183,17 @@ def _block_lmul(n: int, prev: array) -> array:
     return lmul
 
 
-def _lex_arrays(n: int) -> tuple[bytes, array, array]:
-    """Rank tables, lengths and v.t indices of S_n, built up from S_0."""
-    tables, lengths, tprod = b"\0", b"\0", array("i")
-    for m in range(1, n + 1):
-        tables = _block_tables(m, tables)
-        lengths = b"".join(lengths.translate(_PLUS[a]) for a in range(m))
-        tprod = _block_tprod(m, tprod)
-    return tables, array("B", lengths), tprod
+def _block_descents(prev: bytes, n: int) -> bytes:
+    """Left descent bytes of S_n from those of S_{n-1}, bit a - 1 for s_a."""
+    # In block a the tail's bits below a - 1 stay, its bit a - 1 gives way
+    # to the descent s_a (no bit for a = 0), and its bits from a on move up
+    # one.  Masking to a byte only trims patterns no tail has.
+    return b"".join(
+        prev.translate(
+            bytes(((x | 1 << a >> 1) & (1 << a) - 1 | x >> a << a + 1) & 0xFF for x in range(256))
+        )
+        for a in range(n)
+    )
 
 
 class SymmetricGroup:
@@ -169,13 +204,21 @@ class SymmetricGroup:
             raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
         self.n = n
         self.order = factorial(n)
-        self.tlen = (n + 1) * (n + 1)
-        # tprod holds the index of v.t (swap two positions in one-line
-        # notation) for every v and every transposition t; its columns take
-        # the 0-based position pairs (i, j), i < j, in lexicographic order.
+        # tprod's columns take the 0-based position pairs (i, j), i < j, in
+        # lexicographic order.
         self.ntrans = n * (n - 1) // 2
-        self.tables, self.lengths, self.tprod = _lex_arrays(n)
-        self._columns = self._build_columns()
+        # Each array is built up from S_1's, one n at a time.
+        self.lengths = array("B", reduce(_block_lengths, range(2, n + 1), b"\0"))
+        self._bitsets = reduce(_block_bitsets, range(2, n + 1), ())
+
+    @cached_property
+    def tprod(self) -> array:
+        """Right multiplication: ``tprod[v * ntrans + t]`` is the index of v.t.
+
+        v.t swaps two positions of v in one-line notation.  Built on first
+        use: only ``tangent_counts`` reads it.
+        """
+        return reduce(_block_tprod, range(2, self.n + 1), array("i"))
 
     @cached_property
     def lmul(self) -> array:
@@ -184,31 +227,15 @@ class SymmetricGroup:
         s_a.v swaps the values a and a + 1 in one-line notation.  Built on
         first use: only the KL recursion needs it.
         """
-        lmul = array("i")
-        for m in range(2, self.n + 1):
-            lmul = _block_lmul(m, lmul)
-        return lmul
+        return reduce(_block_lmul, range(2, self.n + 1), array("i"))
 
-    def _build_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per interior cell c = (p, q): (c, bits), bits[k] = {v : r_v(p, q) >= k}.
+    @cached_property
+    def descents(self) -> bytes:
+        """Left descents: bit a - 1 of ``descents[v]`` is set iff s_a.v < v.
 
-        Bit v is counted from the top: v = 0 is the most significant of the
-        n! bits.  Every rank at (p, q) is at least max(0, p + q - n), so the
-        thresholds up to that floor select all of S_n and get -1, the int
-        with every bit set.
+        Built on first use: only the KL recursion needs them.
         """
-        n, tlen = self.n, self.tlen
-        columns = []
-        for p in range(1, n):
-            for q in range(1, n):
-                c = p * (n + 1) + q
-                col = self.tables[c::tlen]
-                floor = max(0, p + q - n)
-                bits = [-1] * (floor + 1)
-                for k in range(floor + 1, min(p, q) + 1):
-                    bits.append(int(col.translate(_AT_LEAST[k]), 2))
-                columns.append((c, tuple(bits)))
-        return tuple(columns)
+        return reduce(_block_descents, range(2, self.n + 1), b"\0")
 
     def index_of(self, values: tuple[int, ...]) -> int:
         """Lexicographic rank: sum over i of #{j > i : v(j) < v(i)} (n - i)!."""
@@ -237,15 +264,27 @@ class SymmetricGroup:
         return Permutation(tuple(values))
 
     def lower_mask(self, wi: int) -> bytes:
-        """Byte mask over all of S_n: mask[v] = 1 iff v <= w in Bruhat order."""
-        tw = self.tables[wi * self.tlen : (wi + 1) * self.tlen]
+        """Byte mask over all of S_n: mask[v] = 1 iff v <= w in Bruhat order.
+
+        >>> group = SymmetricGroup(3)
+        >>> list(group.lower_mask(group.index_of((2, 3, 1))))
+        [1, 1, 1, 1, 0, 0]
+        """
+        # After row p of w, seen[x - 1] = 1 iff x is among w(1), ..., w(p),
+        # so accumulate(seen) runs through r_w(p, 1), r_w(p, 2), ...
+        seen = [0] * self.n
         acc = (1 << self.order) - 1
-        for c, bits in self._columns:
-            acc &= bits[tw[c]]
+        for x, row in zip(self.perm(wi).values, self._bitsets):
+            seen[x - 1] = 1
+            for bits, k in zip(row, accumulate(seen)):
+                acc &= bits[k]
         return format(acc, f"0{self.order}b").encode().translate(_BIT_BYTES)
 
     def interval(self, wi: int) -> array:
-        """Indices of {v : v <= w}, ascending."""
+        """Indices of {v : v <= w}, ascending.
+
+        Nothing in the package calls it; the benchmark in ``perfbench/`` does.
+        """
         mask = self.lower_mask(wi)
         return array("i", compress(range(len(mask)), mask))
 

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import pytest
 
-from schubsing import kl
+from schubsing import kl, symgroup
 from schubsing.kl import _add_shifted, _strip, kl_recursion
 from schubsing.perms import Permutation
 from schubsing.symgroup import SymmetricGroup, symmetric_group
@@ -152,9 +152,19 @@ def test_left_multiplication_table(n):
             assert group.lmul[vi * stride + a - 1] == expected
 
 
-def test_group_builds_no_left_multiplication_table():
-    """symmetric_group(n) stays as cheap as before: lmul waits for first use."""
-    assert "lmul" not in vars(SymmetricGroup(5))
+def test_group_builds_each_array_on_first_use(monkeypatch, fresh_memo):
+    """A new group builds no tprod, lmul or descents; the KL recursion builds no tprod."""
+    assert not {"tprod", "lmul", "descents"} & set(vars(SymmetricGroup(5)))
+    monkeypatch.setattr(symgroup, "_groups", {})
+    perms = [Permutation(values) for values in permutations(range(1, 7))]
+    for w in perms[::37]:
+        kl_recursion(perms[0], w)
+    group = symmetric_group(6)
+    assert {"lmul", "descents"} <= set(vars(group))
+    assert "tprod" not in vars(group)
+    wi = group.order - 1
+    group.tangent_counts(group.lower_mask(wi), group.interval(wi))
+    assert "tprod" in vars(group)
 
 
 def test_s6_tables_stay_small(fresh_memo):

@@ -1,11 +1,13 @@
-"""Tests for the symmetric group: ranking, interval masks, tangent counts, tables.
+"""Tests for the symmetric group: ranking, interval masks, tangent counts, arrays.
 
-The ``reference_*`` builders below are the earlier one-permutation-at-a-time
-constructions of the group's arrays.  The block construction in
-``schubsing.symgroup`` must reproduce them byte for byte.
+The ``reference_*`` builders below are one-permutation-at-a-time
+constructions of the group's arrays, and of the rank tables its interval
+bitsets are read from.  The block construction in ``schubsing.symgroup``
+must reproduce them byte for byte.
 """
 
 import os
+import sys
 import tracemalloc
 from array import array
 from itertools import combinations, permutations
@@ -51,6 +53,28 @@ def reference_tprod(n, perms, index):
     return out
 
 
+def reference_bitsets(n, perms):
+    """Per interior cell (p, q): [{v : r_v(p, q) >= k} for k = 0..min(p, q)], bit 0 on top."""
+    tables, tlen = reference_tables(n, perms), (n + 1) * (n + 1)
+    return [
+        [
+            [
+                int("".join("1" if r >= k else "0" for r in tables[p * (n + 1) + q :: tlen]), 2)
+                for k in range(min(p, q) + 1)
+            ]
+            for q in range(1, n)
+        ]
+        for p in range(1, n)
+    ]
+
+
+def reference_descents(n, perms):
+    """Byte v: bit a - 1 set iff a + 1 comes before a in v's one-line notation."""
+    return bytes(
+        sum(1 << a - 1 for a in range(1, n) if p.index(a + 1) < p.index(a)) for p in perms
+    )
+
+
 def _swap_values(values, a):
     """Left multiplication by the adjacent transposition (a, a+1)."""
     return tuple(a + 1 if x == a else a if x == a + 1 else x for x in values)
@@ -66,14 +90,17 @@ def _assert_matches_references(n):
     perms = list(permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(perms)}
     assert group.order == len(perms)
-    assert type(group.tables) is bytes
-    assert group.tables == reference_tables(n, perms)
+    everything = (1 << group.order) - 1
+    bitsets = [[[b & everything for b in bits] for bits in row] for row in group._bitsets]
+    assert bitsets == reference_bitsets(n, perms)
     expected = reference_lengths(n, perms)
     assert group.lengths.typecode == expected.typecode and group.lengths == expected
     expected = reference_tprod(n, perms, index)
     assert group.tprod.typecode == expected.typecode and group.tprod == expected
     expected = reference_lmul(n, perms, index)
     assert group.lmul.typecode == expected.typecode and group.lmul == expected
+    assert type(group.descents) is bytes
+    assert group.descents == reference_descents(n, perms)
     assert all(group.index_of(p) == i for p, i in index.items())
 
 
@@ -90,19 +117,27 @@ def test_block_arrays_match_per_permutation_references_s8():
     _assert_matches_references(8)
 
 
+def _bitset_bytes(group):
+    return sum(sys.getsizeof(b) for row in group._bitsets for bits in row for b in bits)
+
+
 def test_block_build_keeps_transients_small():
     """The S_8 build never holds more than a few columns beyond what it keeps.
 
-    Each tprod and lmul column is written into its array as soon as it is
-    built; keeping every column until the end would add a whole tprod.
+    The bitsets of S_7 and the partly built bitset are all the group build
+    holds besides its result.  Each tprod and lmul column is written into
+    its array as soon as it is built; keeping every column until the end
+    would add a whole array.
     """
     tracemalloc.start()
     try:
         group = SymmetricGroup(8)
         kept, peak = tracemalloc.get_traced_memory()
-        tprod_bytes = len(group.tprod) * group.tprod.itemsize
-        arrays = len(group.tables) + len(group.lengths) + tprod_bytes
-        assert peak - kept < arrays / 4
+        assert peak - kept < (_bitset_bytes(group) + len(group.lengths)) / 4
+        tracemalloc.reset_peak()
+        group.tprod
+        kept, peak = tracemalloc.get_traced_memory()
+        assert peak - kept < len(group.tprod) * group.tprod.itemsize / 2
         tracemalloc.reset_peak()
         group.lmul
         kept, peak = tracemalloc.get_traced_memory()
@@ -112,7 +147,7 @@ def test_block_build_keeps_transients_small():
 
 
 def test_group_keeps_only_its_arrays():
-    """S_8 keeps its arrays and bitsets; no n!-tuple of permutations, no mask cache."""
+    """S_8 keeps its bitsets and lengths; no n!-tuple of permutations, no mask cache."""
     tracemalloc.start()
     try:
         group = SymmetricGroup(8)
@@ -120,8 +155,8 @@ def test_group_keeps_only_its_arrays():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = len(group.tables) + len(group.lengths) + len(group.tprod) * group.tprod.itemsize
-    assert kept - arrays < 1_000_000
+    assert not {"tprod", "lmul", "descents"} & set(vars(group))
+    assert kept - _bitset_bytes(group) - len(group.lengths) < 1_000_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -132,6 +167,16 @@ def test_mask_agrees_with_bruhat_leq(n):
         mask = group.lower_mask(wi)
         assert type(mask) is bytes and len(mask) == len(perms)
         assert list(mask) == [int(bruhat_leq(v, w)) for v in perms], w.values
+
+
+def test_masks_reject_ranks_outside_the_group():
+    """Negative ranks do not wrap round to the top of S_n."""
+    group = symmetric_group(4)
+    for wi in (-1, -2, -3, group.order):
+        with pytest.raises(IndexError):
+            group.lower_mask(wi)
+        with pytest.raises(IndexError):
+            group.interval(wi)
 
 
 def test_tangent_counts_agree_with_tangent_dimension():
