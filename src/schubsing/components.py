@@ -14,6 +14,12 @@ e = 1; the slice is a quadric cone of dimension 2l + 3.
 ``3412empty`` type (empty central square): d = l + m + 3 and e = l + m + 1;
 the slice is a cone of rank-one 2 x (l+m+2) matrices.
 
+The three families share two cones, each a type over a slice's free
+coordinates indexed by position: a :class:`_Grid` of rank-one matrices and
+a :class:`_Quadric`.  A family keeps only its (l, m) arithmetic and
+:meth:`Component.fit_cone`, which fits its cone to the free coordinates;
+the cone owns the closed equations, the sampler and the ``dim`` check.
+
 One route builds the components: :func:`components_from_patterns` reads
 each one, family and sides, straight off w's pattern configurations, in
 polynomial time and without the group (Billey-Warrington,
@@ -100,7 +106,7 @@ class ClassificationError(RuntimeError):
 
 
 class SliceStructureError(RuntimeError):
-    """The free coordinates do not form the frame the component type predicts."""
+    """The free coordinates do not form the cone the component's family predicts."""
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,10 @@ class Component(ABC):
     3412 types ``m`` is None: the 3412* slice depends on l alone, and for
     3412empty ``l`` stores the aggregate l + m, which is all the reports show.
 
-    A family owns its codimension and excess as functions of (l, m), its
-    closed Kazhdan-Lusztig form and its slice geometry.  The slice methods
-    take the frame :meth:`fit_frame` returns and the free coordinates, to
-    which a cone point's values align.
+    A family owns its codimension and excess as functions of (l, m) and its
+    closed Kazhdan-Lusztig form.  :meth:`fit_cone` fits the family's cone to
+    a slice's free coordinates; the cone owns the equations, the sampler
+    and the ``dim`` check.
     """
 
     ctype: ClassVar[str]
@@ -142,20 +148,8 @@ class Component(ABC):
         return lw - lv == self.codim and dim - lw == self.excess
 
     @abstractmethod
-    def fit_frame(self, free: list[Cell]) -> tuple:
-        """The family's block structure on ``free``, or SliceStructureError."""
-
-    @abstractmethod
-    def closed_equations(self, frame: tuple, var_of: dict[Cell, int]) -> list[Poly]:
-        """The closed model: homogeneous quadrics cutting out the cone."""
-
-    @abstractmethod
-    def cone_sample(self, frame: tuple, free: Sequence[Cell], rng: Random) -> Point:
-        """One exact integer point of the cone."""
-
-    @abstractmethod
-    def dim_rank(self, frame: tuple, free: Sequence[Cell], rng: Random) -> tuple[str, int, int]:
-        """The exact rank the ``dim`` check tests: (what is ranked, found, expected)."""
+    def fit_cone(self, free: Sequence[Cell]) -> Cone:
+        """The family's cone over ``free``, indexed by position, or SliceStructureError."""
 
     def json_fields(self) -> dict:
         """The component's entry fields in ``singular-locus`` and sweep reports."""
@@ -206,68 +200,115 @@ def _draw_nonzero(rng: Random, count: int) -> list[int]:
 
 
 class _Grid(NamedTuple):
-    # A rank-one matrix of free coordinates: on the cone x_cell =
-    # sign.row_r.col_c for cells[r][c] = (sign, cell).  The columns are cut
-    # into consecutive blocks, each drawn as its own vector.
-    cells: list[list[tuple[int, Cell]]]
+    """A cone of rank-one matrices of dimension ``dim`` (4231, 3412empty).
+
+    On the cone x_i = sign.row_r.col_c for cells[r][c] = (sign, i), where i
+    indexes the free coordinates; every index appears once.  The columns
+    are cut into consecutive blocks, each drawn as its own vector.
+    """
+
+    cells: list[list[tuple[int, int]]]
     blocks: list[range]
+    dim: int
 
-
-def _draw_factors(frame: _Grid, draw, rng: Random) -> tuple[list[int], list[int]]:
-    """The row vector, then one column vector per block, drawn in that order."""
-    rows = draw(rng, len(frame.cells))
-    cols = [x for block in frame.blocks for x in draw(rng, len(block))]
-    return rows, cols
-
-
-class _RankOneComponent(Component):
-    """A family whose slice is a cone of rank-one matrices, framed by a :class:`_Grid`."""
-
-    def closed_equations(self, frame: _Grid, var_of: dict[Cell, int]) -> list[Poly]:
+    def equations(self) -> list[Poly]:
+        """The 2 x 2 minors cutting out the cone, each once."""
         # For each pair of rows: the column pairs inside each block, block
         # by block, then the pairs across blocks.
-        col_pairs = [pair for block in frame.blocks for pair in combinations(block, 2)]
-        col_pairs += [pair for b1, b2 in combinations(frame.blocks, 2) for pair in product(b1, b2)]
+        col_pairs = [pair for block in self.blocks for pair in combinations(block, 2)]
+        col_pairs += [pair for b1, b2 in combinations(self.blocks, 2) for pair in product(b1, b2)]
 
-        def entry(signed: tuple[int, Cell]) -> Poly:
-            # The rank-one matrix holds sign.x_cell at each cell.
-            return poly_scale(poly_var(var_of[signed[1]]), signed[0])
+        def entry(signed: tuple[int, int]) -> Poly:
+            # The rank-one matrix holds sign.x_i at each cell.
+            return poly_scale(poly_var(signed[1]), signed[0])
 
         return [
             dict(poly_canonical(poly_add(
                 poly_mul(entry(top[c1]), entry(bottom[c2])),
                 poly_scale(poly_mul(entry(top[c2]), entry(bottom[c1])), -1),
             )))
-            for top, bottom in combinations(frame.cells, 2)
+            for top, bottom in combinations(self.cells, 2)
             for c1, c2 in col_pairs
         ]
 
-    def cone_sample(self, frame: _Grid, free: Sequence[Cell], rng: Random) -> Point:
-        rows, cols = _draw_factors(frame, _draw_vector, rng)
-        value = {
-            cell: sign * rows[r] * cols[c]
-            for r, line in enumerate(frame.cells)
-            for c, (sign, cell) in enumerate(line)
-        }
-        return tuple(value[cell] for cell in free)
+    def _draw_factors(self, draw, rng: Random) -> tuple[list[int], list[int]]:
+        """The row vector, then one column vector per block, drawn in that order."""
+        rows = draw(rng, len(self.cells))
+        cols = [x for block in self.blocks for x in draw(rng, len(block))]
+        return rows, cols
 
-    def parametrization_rank(self, frame: _Grid, free: Sequence[Cell], rng: Random) -> int:
-        """Exact Jacobian rank of (rows, cols) -> cone point at a generic point."""
-        rows, cols = _draw_factors(frame, _draw_nonzero, rng)
-        jac: dict[Cell, list[int]] = {}
-        for r, line in enumerate(frame.cells):
-            for c, (sign, cell) in enumerate(line):
+    def sample(self, rng: Random) -> Point:
+        """One exact integer point of the cone."""
+        rows, cols = self._draw_factors(_draw_vector, rng)
+        point = [0] * sum(map(len, self.cells))
+        for r, line in enumerate(self.cells):
+            for c, (sign, i) in enumerate(line):
+                point[i] = sign * rows[r] * cols[c]
+        return tuple(point)
+
+    def dim_rank(self, rng: Random) -> tuple[str, int, int]:
+        """``("parametrization", rank, dim)``, the rank exact at a generic point.
+
+        It is the Jacobian rank of (rows, cols) -> cone point, which is the
+        cone's dimension.
+        """
+        rows, cols = self._draw_factors(_draw_nonzero, rng)
+        jac: list[list[int]] = [[]] * sum(map(len, self.cells))
+        for r, line in enumerate(self.cells):
+            for c, (sign, i) in enumerate(line):
                 row = [0] * (len(rows) + len(cols))
                 row[r] = sign * cols[c]
                 row[len(rows) + c] = sign * rows[r]
-                jac[cell] = row
-        return matrix_rank([jac[cell] for cell in free])
-
-    def dim_rank(self, frame: _Grid, free: Sequence[Cell], rng: Random) -> tuple[str, int, int]:
-        return "parametrization", self.parametrization_rank(frame, free, rng), self.codim
+                jac[i] = row
+        return "parametrization", matrix_rank(jac), self.dim
 
 
-class RectangleComponent(_RankOneComponent):
+class _Quadric(NamedTuple):
+    """One quadric cone (3412*) over ``size`` free coordinates.
+
+    The quadric is the sum of x_a.x_b over the index ``pairs`` (a, b); the
+    sampler solves for the b of the first pair.
+    """
+
+    pairs: list[tuple[int, int]]
+    size: int
+
+    def equations(self) -> list[Poly]:
+        """The one quadric cutting out the cone."""
+        quad: Poly = {}
+        for a, b in self.pairs:
+            quad = poly_add(quad, poly_mul(poly_var(a), poly_var(b)))
+        return [quad]
+
+    def sample(self, rng: Random) -> Point:
+        """One exact integer point of the cone."""
+        # The solved coordinate would be -rest / a0; the quadric is
+        # homogeneous, so the point scaled by a0 is on the cone too, and
+        # it is integral.
+        a, solved = self.pairs[0]
+        values = draw_values(rng, DIGITS, self.size)
+        while values[a] == 0:
+            values[a] = draw_values(rng, DIGITS, 1)[0]
+        rest = sum(values[i] * values[j] for i, j in self.pairs[1:])
+        point = [values[a] * x for x in values]
+        point[solved] = -rest
+        return tuple(point)
+
+    def dim_rank(self, rng: Random) -> tuple[str, int, int]:
+        """``("quadric", rank, size)``, the rank of the coefficient matrix."""
+        # The quadric is nondegenerate: its symmetric coefficient matrix has
+        # full rank, so the cone is the quadric cone of dimension size.
+        coeffs = [[0] * self.size for _ in range(self.size)]
+        for a, b in self.pairs:
+            coeffs[a][b] = coeffs[b][a] = 1
+        return "quadric", matrix_rank(coeffs), self.size
+
+
+# The slice of every component is one of the two cones.
+Cone = _Grid | _Quadric
+
+
+class RectangleComponent(Component):
     """4231 type: the slice is the cone of rank-one (l+1) x (m+1) matrices."""
 
     ctype = TYPE_4231
@@ -284,7 +325,7 @@ class RectangleComponent(_RankOneComponent):
     def kl_closed_form(self) -> tuple[int, ...]:
         return (1,) * (min(self.l, self.m) + 1)
 
-    def fit_frame(self, free: list[Cell]) -> _Grid:
+    def fit_cone(self, free: Sequence[Cell]) -> _Grid:
         rows = sorted({j for j, _ in free})
         cols = sorted({k for _, k in free})
         if set(free) != {(j, k) for j in rows for k in cols}:
@@ -296,13 +337,9 @@ class RectangleComponent(_RankOneComponent):
                 f"4231 slice of {self.v.values}: rectangle is {len(rows)} x {len(cols)}, "
                 f"expected sides {self.l + 1} and {self.m + 1}"
             )
-        return _Grid([[(1, (j, k)) for k in cols] for j in rows], [range(len(cols))])
-
-
-class _Quadric(NamedTuple):
-    # (a, b) cells whose products x_a.x_b sum to the quadric; the sampler
-    # solves for the b cell of the first pair.
-    pairs: list[tuple[Cell, Cell]]
+        at = {cell: i for i, cell in enumerate(free)}
+        cells = [[(1, at[j, k]) for k in cols] for j in rows]
+        return _Grid(cells, [range(len(cols))], self.codim)
 
 
 class QuadricComponent(Component):
@@ -321,9 +358,9 @@ class QuadricComponent(Component):
     def kl_closed_form(self) -> tuple[int, ...]:
         return (1,) + (0,) * self.l + (1,)
 
-    def fit_frame(self, free: list[Cell]) -> _Quadric:
+    def fit_cone(self, free: Sequence[Cell]) -> _Quadric:
         v = self.v
-        freeset = set(free)
+        at = {cell: i for i, cell in enumerate(free)}
         k_last = max(k for _, k in free)
         side_rows = sorted({j for j, k in free if k != k_last})
         if len(side_rows) != 1:
@@ -332,7 +369,7 @@ class QuadricComponent(Component):
                 f"got rows {side_rows}"
             )
         j0 = side_rows[0]
-        if (j0, k_last) in freeset:
+        if (j0, k_last) in at:
             raise SliceStructureError(
                 f"3412* slice of {v.values}: corner ({j0}, {k_last}) must not be free"
             )
@@ -342,50 +379,18 @@ class QuadricComponent(Component):
             )
         vinv = inverse(v)
         pairs = [
-            ((j0, k), (vinv(k), k_last))
-            for j, k in free
-            if j == j0 and (vinv(k), k_last) in freeset
+            (i, at[vinv(k), k_last])
+            for i, (j, k) in enumerate(free)
+            if j == j0 and (vinv(k), k_last) in at
         ]
         if not pairs:
             raise SliceStructureError(
                 f"3412* slice of {v.values}: no paired coordinates for the quadric"
             )
-        return _Quadric(pairs)
-
-    def closed_equations(self, frame: _Quadric, var_of: dict[Cell, int]) -> list[Poly]:
-        quad: Poly = {}
-        for a_cell, b_cell in frame.pairs:
-            quad = poly_add(
-                quad, poly_mul(poly_var(var_of[a_cell]), poly_var(var_of[b_cell]))
-            )
-        return [quad]
-
-    def cone_sample(self, frame: _Quadric, free: Sequence[Cell], rng: Random) -> Point:
-        # The solved coordinate would be -rest / a0; the quadric is
-        # homogeneous, so the point scaled by a0 is on the cone too, and
-        # it is integral.
-        pairs = frame.pairs
-        solved = pairs[0][1]
-        values = dict(zip(free, draw_values(rng, DIGITS, len(free))))
-        while values[pairs[0][0]] == 0:
-            values[pairs[0][0]] = draw_values(rng, DIGITS, 1)[0]
-        a0 = values[pairs[0][0]]
-        rest = sum(values[a] * values[b] for a, b in pairs[1:])
-        values = {cell: a0 * x for cell, x in values.items()}
-        values[solved] = -rest
-        return tuple(values[cell] for cell in free)
-
-    def dim_rank(self, frame: _Quadric, free: Sequence[Cell], rng: Random) -> tuple[str, int, int]:
-        # The quadric is nondegenerate: its symmetric coefficient matrix has
-        # full rank, so the cone is the quadric cone of dimension codim.
-        index = {cell: i for i, cell in enumerate(free)}
-        coeffs = [[0] * len(free) for _ in free]
-        for a, b in frame.pairs:
-            coeffs[index[a]][index[b]] = coeffs[index[b]][index[a]] = 1
-        return "quadric", matrix_rank(coeffs), len(free)
+        return _Quadric(pairs, len(free))
 
 
-class TwoBlockComponent(_RankOneComponent):
+class TwoBlockComponent(Component):
     """3412empty type: the slice is a cone of rank-one 2 x (l+m+2) matrices."""
 
     ctype = TYPE_3412_EMPTY
@@ -401,8 +406,9 @@ class TwoBlockComponent(_RankOneComponent):
     def kl_closed_form(self) -> tuple[int, ...]:
         return (1, 1)
 
-    def fit_frame(self, free: list[Cell]) -> _Grid:
+    def fit_cone(self, free: Sequence[Cell]) -> _Grid:
         v = self.v
+        at = {cell: i for i, cell in enumerate(free)}
         row_cols: dict[int, set[int]] = {}
         for j, k in free:
             row_cols.setdefault(j, set()).add(k)
@@ -432,21 +438,21 @@ class TwoBlockComponent(_RankOneComponent):
             # (i, v(r2)); column k of block B holds -(r2, k) and (r1, k).
             r1, r2 = rows_b
             cells = [
-                [(1, (i, v(r1))) for i in rows_a] + [(-1, (r2, k)) for k in cols_b],
-                [(1, (i, v(r2))) for i in rows_a] + [(1, (r1, k)) for k in cols_b],
+                [(1, at[i, v(r1)]) for i in rows_a] + [(-1, at[r2, k]) for k in cols_b],
+                [(1, at[i, v(r2)]) for i in rows_a] + [(1, at[r1, k]) for k in cols_b],
             ]
             split = len(rows_a)
-            return _Grid(cells, [range(split), range(split, split + len(cols_b))])
+            return _Grid(cells, [range(split), range(split, split + len(cols_b))], self.codim)
 
-        frame = try_orientation(groups[0], groups[1]) or try_orientation(
+        cone = try_orientation(groups[0], groups[1]) or try_orientation(
             groups[1], groups[0]
         )
-        if frame is None:
+        if cone is None:
             raise SliceStructureError(
                 f"3412empty slice of {v.values}: free coordinates do not form "
                 f"rank-one blocks matched by v"
             )
-        return frame
+        return cone
 
 
 def classify_component(v: Permutation, w: Permutation) -> Component:

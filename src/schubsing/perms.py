@@ -53,7 +53,8 @@ class Permutation:
         n = len(self.values)
         if n == 0:
             raise ValueError("a permutation needs at least one value")
-        if sorted(self.values) != list(range(1, n + 1)):
+        # Values are ints: 2.0 or True would pass the sort and print as such.
+        if set(map(type, self.values)) != {int} or sorted(self.values) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.values!r}")
 
     @property

@@ -11,9 +11,11 @@ Two independent equation models are built over the free coordinates:
 * the determinantal model: for every binding rank condition (p, q) of X_w,
   all minors of size p - r_w(p, q) + 1 of rows 1..p against columns
   q+1..n, expanded only where the chart can make them nonzero;
-* the closed model, read off the component type: the 2 x 2 minors of a
-  rank-one matrix of free coordinates (4231 and 3412empty types), or one
-  nondegenerate quadric (3412* type).
+* the closed model, the equations of the cone the component's family fits
+  to the free coordinates (:meth:`schubsing.components.Component.fit_cone`):
+  the 2 x 2 minors of a rank-one matrix of free coordinates (4231 and
+  3412empty types), or one nondegenerate quadric (3412* type).  The cone
+  also draws the sample points and gives the rank the ``dim`` check tests.
 
 Sample points are integral (the quadric sampler scales its point to clear
 the one denominator), and membership of a flag in X_w is decided by rank
@@ -46,6 +48,7 @@ from .components import (
     DIGITS,
     Cell,
     Component,
+    Cone,
     SliceStructureError,
     draw_values,
     enumerate_components,
@@ -110,17 +113,21 @@ class SliceModel:
     """Both equation models of one slice, over its free coordinates.
 
     ``free`` lists the matrix positions (j, k) carrying coordinates, in
-    row-major order; equations index variables by position in that list.
-    ``component`` is the classified family and ``frame`` its block structure
-    fitted to ``free``; both are None when no closed model exists.
+    row-major order; equations and cone points index variables by position
+    in that list.  ``component`` is the classified family and ``cone`` the
+    cone it fitted to ``free``; both are None when no closed model exists.
     """
 
     v: Permutation
     w: Permutation
     component: Component | None
     free: tuple[Cell, ...]
-    closed_equations: tuple[Poly, ...]
-    frame: tuple | None
+    cone: Cone | None = None
+
+    @cached_property
+    def closed_equations(self) -> tuple[Poly, ...]:
+        """The closed model, the cone's equations (none without a cone)."""
+        return () if self.cone is None else tuple(self.cone.equations())
 
     @cached_property
     def chart(self) -> tuple[tuple, tuple]:
@@ -272,23 +279,14 @@ def build_slice(c: Component, w: Permutation) -> SliceModel:
         raise SliceStructureError(
             f"component {v.values} of {w.values} has no free coordinates"
         )
-    var_of = {cell: i for i, cell in enumerate(free)}
-    frame = c.fit_frame(free)
-    return SliceModel(
-        v=v,
-        w=w,
-        component=c,
-        free=tuple(free),
-        closed_equations=tuple(c.closed_equations(frame, var_of)),
-        frame=frame,
-    )
+    return SliceModel(v=v, w=w, component=c, free=tuple(free), cone=c.fit_cone(free))
 
 
 def pair_slice(v: Permutation, w: Permutation) -> SliceModel:
     """The slice of a pair v <= w without a closed model; (v, v) gives a point."""
     if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
-    return SliceModel(v, w, None, tuple(free_coordinates(v, w)), (), None)
+    return SliceModel(v, w, None, tuple(free_coordinates(v, w)))
 
 
 def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
@@ -428,15 +426,15 @@ def _rng(seed: int, tag: str, v: Permutation, w: Permutation) -> random.Random:
 def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
     """Integer points of the closed cone, as assignments of the free coordinates.
 
-    A point that violates a closed equation means the family's sampler and
-    equations disagree about the frame: :class:`SliceStructureError`.
+    A point that violates a closed equation means the cone's sampler and
+    equations disagree: :class:`SliceStructureError`.
     """
-    if s.component is None:
+    if s.cone is None:
         raise ValueError("trivial slice has no cone to sample")
     rng = _rng(seed, "cone", s.v, s.w)
     out = []
     for _ in range(trials):
-        assignment = s.component.cone_sample(s.frame, s.free, rng)
+        assignment = s.cone.sample(rng)
         for eq in s.closed_equations:
             if poly_eval(eq, assignment):
                 raise SliceStructureError(
@@ -464,7 +462,13 @@ def _sample_off_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, .
 def verify_slice(
     model: SliceModel, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> SliceVerdict:
-    """Run the five exact checks tying a component's slice model to X_w itself."""
+    """Run the five exact checks tying a component's slice model to X_w itself.
+
+    ``trials`` cone points and as many off-cone points are tested; fewer
+    than one of each would check nothing, so ``trials < 1`` is a ``ValueError``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     c, w = model.component, model.w
     if c is None:
         raise ValueError("only a component's slice has checks to run")
@@ -479,7 +483,7 @@ def verify_slice(
             f"tangent: {len(model.free)} free coordinates, expected {expected_dim}"
         )
 
-    ranked, rank, expected = c.dim_rank(model.frame, model.free, _rng(seed, "jac", c.v, w))
+    ranked, rank, expected = model.cone.dim_rank(_rng(seed, "jac", c.v, w))
     dim_ok = rank == expected
     if not dim_ok:
         failures.append(f"dim: {ranked} rank {rank}, expected {expected}")

@@ -138,8 +138,11 @@ def verify_all(
 
     S_n is cut into the same chunks whatever ``jobs`` is, so the report and
     the progress lines (one per chunk) do not depend on it.  With ``jobs > 1``
-    a dead worker raises :class:`WorkerCrashError`.
+    a dead worker raises :class:`WorkerCrashError`.  ``trials < 1`` would
+    check no slice and raises ``ValueError`` before any work.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     total = factorial(n)
     step = max(1, total // 40)
     tasks = [(n, lo, min(lo + step, total), trials, seed) for lo in range(0, total, step)]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import schubsing.slices
 import schubsing.sweep
 from schubsing.cli import main
-from schubsing.components import ClassificationError, QuadricComponent
+from schubsing.components import ClassificationError, _Quadric
 from schubsing.slices import SliceVerdict
 
 
@@ -221,9 +221,7 @@ def test_trials_over_the_cap_exit_2(capsys, monkeypatch, argv, target):
 
 def test_slice_structure_error_exits_1(capsys, monkeypatch):
     """A cone sampler off its own equations gives one error line, no traceback."""
-    monkeypatch.setattr(
-        QuadricComponent, "cone_sample", lambda self, frame, free, rng: (1,) * len(free)
-    )
+    monkeypatch.setattr(_Quadric, "sample", lambda self, rng: (1,) * self.size)
     code, out, err = run_cli(capsys, "slice", "1324", "3412")
     assert (code, out) == (1, "")
     assert err.startswith("error: cone sampler violated its own equation")

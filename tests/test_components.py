@@ -256,7 +256,7 @@ def test_pattern_route_at_n12():
     """Beyond the symmetric-group kernel: each v is a component-shaped point.
 
     Every v lies below w, has the reported tangent excess by the slow
-    transposition count, fits its family's slice frame, and no v lies below
+    transposition count, fits its family's slice cone, and no v lies below
     another.
     """
     rng = random.Random(12)
@@ -270,7 +270,7 @@ def test_pattern_route_at_n12():
             seen.add(c.ctype)
             assert bruhat_leq(c.v, w)
             assert tangent_dimension(c.v, w).excess == c.excess
-            c.fit_frame(free_coordinates(c.v, w))
+            c.fit_cone(free_coordinates(c.v, w))
         for first, second in itertools.permutations(comps, 2):
             assert not bruhat_leq(first.v, second.v), (w.values, first.v, second.v)
     assert seen == {TYPE_4231, TYPE_3412_STAR, TYPE_3412_EMPTY}

@@ -98,16 +98,18 @@ def reference_rows(model, point):
     return rows
 
 
-def reference_quadric_sample(frame, free, rng):
-    """The unscaled 3412* cone point: the solved coordinate is -rest / a0."""
-    pairs = frame.pairs
-    solved = pairs[0][1]
-    values = {cell: Fraction(rng.randint(-9, 9)) for cell in free}
-    while values[pairs[0][0]] == 0:
-        values[pairs[0][0]] = Fraction(rng.randint(-9, 9))
-    rest = sum((values[a] * values[b] for a, b in pairs[1:]), Fraction(0))
-    values[solved] = -rest / values[pairs[0][0]]
-    return tuple(values[cell] for cell in free)
+def reference_quadric_sample(pairs, count, rng):
+    """The unscaled 3412* cone point over ``count`` coordinates, from index pairs.
+
+    The solved coordinate, the second of the first pair, is -rest / a0.
+    """
+    a, solved = pairs[0]
+    values = [Fraction(rng.randint(-9, 9)) for _ in range(count)]
+    while values[a] == 0:
+        values[a] = Fraction(rng.randint(-9, 9))
+    rest = sum((values[i] * values[j] for i, j in pairs[1:]), Fraction(0))
+    values[solved] = -rest / values[a]
+    return tuple(values)
 
 
 @pytest.fixture(scope="module")
@@ -127,10 +129,10 @@ def test_membership_matches_fraction_reference(small_pairs):
         cone = sample_cone(model, TRIALS, SEED)
         if isinstance(c, QuadricComponent):
             rng = _rng(SEED, "cone", c.v, w)
-            a_index = model.free.index(model.frame.pairs[0][0])
+            a_index = model.cone.pairs[0][0]
             reference = []
             for point in cone:
-                old = reference_quadric_sample(model.frame, model.free, rng)
+                old = reference_quadric_sample(model.cone.pairs, len(model.free), rng)
                 # The draws are unchanged; the point is scaled by a0.
                 assert point == tuple(old[a_index] * x for x in old)
                 reference.append(old)
@@ -164,7 +166,7 @@ def test_jacobian_rank_matches_fraction_reference(small_pairs, monkeypatch):
     monkeypatch.setattr(components, "matrix_rank", recording_rank)
     for w, c in small_pairs:
         free = free_coordinates(c.v, w)
-        c.dim_rank(c.fit_frame(free), free, _rng(SEED, "jac", c.v, w))
+        c.fit_cone(free).dim_rank(_rng(SEED, "jac", c.v, w))
     assert len(jacobians) == len(small_pairs)
     for rows in jacobians:
         assert all(type(x) is int for row in rows for x in row)

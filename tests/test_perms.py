@@ -1,6 +1,7 @@
 """Tests for permutations, rank tables, Bruhat order, and the excess region."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,13 @@ def test_make_permutation_accepts_valid():
 @pytest.mark.parametrize("bad", [[1, 1, 2], [0, 1], [2, 3], [], [1, 2, 4]])
 def test_make_permutation_rejects_non_bijections(bad):
     with pytest.raises(ValueError):
+        make_permutation(bad)
+
+
+@pytest.mark.parametrize("bad", [[2.0, 1.0], [2, True], [True], [1, "2"], [Fraction(1)]])
+def test_make_permutation_rejects_non_int_values(bad):
+    """Only ints are values: floats, bools and Fractions equal to ints, and strings, are refused."""
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.\d"):
         make_permutation(bad)
 
 

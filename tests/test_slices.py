@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 import schubsing.slices
-from schubsing.components import QuadricComponent, RectangleComponent, classify_component
+import schubsing.sweep
+from schubsing.components import (
+    RectangleComponent,
+    _Grid,
+    _Quadric,
+    classify_component,
+)
 from schubsing.linalg import poly_canonical, poly_eval, poly_var, sym_det
 from schubsing.perms import (
     Permutation,
@@ -41,7 +47,7 @@ from schubsing.slices import (
     slice_report,
     verify_slice,
 )
-from schubsing.sweep import _record_failures, component_pairs, verify_permutation
+from schubsing.sweep import _record_failures, component_pairs, verify_all, verify_permutation
 from schubsing.symgroup import SymmetricGroup, symmetric_group
 from schubsing.tangent import tangent_dimension
 
@@ -129,7 +135,11 @@ def test_3412_slice_is_one_quadric():
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
     model = build_slice(c, w)
     assert equation_strings(model, model.closed_equations) == ["m_1_2*m_3_4 + m_1_3*m_2_4"]
-    assert model.frame.pairs == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
+    assert model.cone.pairs == [(0, 3), (1, 2)]
+    assert [(model.free[a], model.free[b]) for a, b in model.cone.pairs] == [
+        ((1, 2), (3, 4)),
+        ((1, 3), (2, 4)),
+    ]
 
 
 def test_case3_slice_equations():
@@ -193,16 +203,44 @@ def test_degenerate_quadric_fails_dim():
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
     model = build_slice(c, w)
-    truncated = model.frame._replace(pairs=model.frame.pairs[:1])
-    var_of = {cell: i for i, cell in enumerate(model.free)}
-    broken = dataclasses.replace(
-        model,
-        frame=truncated,
-        closed_equations=tuple(c.closed_equations(truncated, var_of)),
-    )
+    broken = dataclasses.replace(model, cone=model.cone._replace(pairs=model.cone.pairs[:1]))
+    assert equation_strings(broken, broken.closed_equations) == ["m_1_2*m_3_4"]
     verdict = verify_slice(broken, trials=3, seed=101)
     assert not verdict.dim_ok
     assert "dim: quadric rank 2, expected 4" in verdict.failures
+
+
+def test_rank_one_cone_with_wrong_dim_fails_dim():
+    """A rank-one cone that claims one dimension too many fails only the dim check."""
+    w = make_permutation([4, 2, 3, 1])
+    c = classify_component(make_permutation([2, 1, 4, 3]), w)
+    model = build_slice(c, w)
+    assert model.cone.dim == c.codim == 3
+    broken = dataclasses.replace(model, cone=model.cone._replace(dim=4))
+    verdict = verify_slice(broken, trials=3, seed=101)
+    assert not verdict.dim_ok
+    assert verdict.failures == ("dim: parametrization rank 3, expected 4",)
+
+
+def test_cones_index_each_free_coordinate_once():
+    """A grid's cells and a quadric's pairs cover 0..len(free)-1, each index once.
+
+    The samplers fill points by index, so a missed index would read 0.
+    """
+    kinds = set()
+    for n in (2, 3, 4, 5, 6):
+        for w, c in component_pairs(n):
+            model = build_slice(c, w)
+            cone = model.cone
+            if isinstance(cone, _Grid):
+                used = [i for line in cone.cells for _, i in line]
+                assert cone.dim == c.codim
+            else:
+                assert isinstance(cone, _Quadric) and cone.size == len(model.free)
+                used = [i for pair in cone.pairs for i in pair]
+            assert sorted(used) == list(range(len(model.free))), (w.values, c.v.values)
+            kinds.add(type(cone))
+    assert kinds == {_Grid, _Quadric}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -441,6 +479,23 @@ def test_verify_slice_needs_a_component():
         verify_slice(pair_slice(v, v))
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_vacuous_trials_are_refused(monkeypatch, trials):
+    """No trials would check nothing: both entry points refuse before any work."""
+    w = make_permutation([4, 2, 3, 1])
+    model = build_slice(classify_component(make_permutation([2, 1, 4, 3]), w), w)
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(schubsing.slices, "_rng", no_work)
+    monkeypatch.setattr(schubsing.sweep, "_verify_chunk", no_work)
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        verify_slice(model, trials=trials)
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        verify_all(4, trials=trials)
+
+
 def test_verify_slice_builds_no_flag_per_point(monkeypatch):
     def no_flags(*args):
         raise AssertionError("verify_slice built a FlagMatrix")
@@ -452,9 +507,7 @@ def test_verify_slice_builds_no_flag_per_point(monkeypatch):
 
 def test_sampler_violation_is_a_witness(monkeypatch):
     """A cone sampler off its own equations is a slice-structure failure."""
-    monkeypatch.setattr(
-        QuadricComponent, "cone_sample", lambda self, frame, free, rng: (1,) * len(free)
-    )
+    monkeypatch.setattr(_Quadric, "sample", lambda self, rng: (1,) * self.size)
     w = make_permutation([3, 4, 1, 2])
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
     with pytest.raises(SliceStructureError, match="violated its own equation"):
