@@ -15,10 +15,13 @@ descents D of w, and the table of w stores it only at the top of each coset
 below w: the v <= w with s.v < v for every s in D (Bjorner-Brenti, GTM 231,
 ch. 5).  A lookup lifts v to its top along left multiplications by D and
 binary-searches the stored tops; a top that is not stored is not below w.
-The tops below w are read off w's interval mask and the left descents of
-every v.  The group supplies those descents and s.v as arrays it builds on
-first use (``SymmetricGroup.descents`` and ``SymmetricGroup.lmul``); this
-module indexes them by permutation and knows nothing of their layout.
+The group owns the coset rule: ``SymmetricGroup.coset_tops`` reads the
+tops below w off w's interval mask and the left descents of every v, the
+same tops the component oracle counts tangent spaces at.  The lift reads
+the descents and s.v from arrays the group builds on first use
+(``SymmetricGroup.descents`` and ``SymmetricGroup.lmul``, its only
+multiplication table); this module indexes them by permutation and knows
+nothing of their layout.
 
 Writing s for the smallest left descent of w, every stored v has s.v < v,
 so one rule gives each entry:
@@ -46,8 +49,6 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from functools import cache
-from itertools import compress
 
 from .perms import Permutation, bruhat_leq
 from .symgroup import SymmetricGroup, symmetric_group
@@ -106,12 +107,6 @@ def _intern(poly: KLPoly) -> int:
     return pid
 
 
-@cache
-def _has_all(descents: int) -> bytes:
-    """A translation table: byte x to 1 if x has every bit of ``descents``, else to 0."""
-    return bytes(x & descents == descents for x in range(256))
-
-
 def _lookup(group: SymmetricGroup, table: _Table, vi: int) -> KLPoly:
     """P(v, w) from the table of w: v lifted to its coset top, which is stored iff v <= w."""
     tops, ids, descents = table
@@ -165,7 +160,7 @@ def _kl_table(group: SymmetricGroup, wi: int) -> _Table:
         if cached is not None:
             return cached
     descents = group.descents[wi]
-    tops = _coset_tops(group, wi, descents)
+    tops = group.coset_tops(group.lower_mask(wi), descents)
     # Only the identity has no left descent, and P(e, e) = 1.
     if descents:
         ids = _entries(group, wi, tops, (descents & -descents).bit_length() - 1)
@@ -175,13 +170,6 @@ def _kl_table(group: SymmetricGroup, wi: int) -> _Table:
     with _lock:
         _tables[key] = table
     return table
-
-
-def _coset_tops(group: SymmetricGroup, wi: int, descents: int) -> array:
-    """The v <= w, ascending, that have every left descent in ``descents`` (bit a - 1 for s_a)."""
-    selected = group.descents.translate(_has_all(descents))
-    below = int.from_bytes(group.lower_mask(wi), "big") & int.from_bytes(selected, "big")
-    return array("i", compress(range(group.order), below.to_bytes(group.order, "big")))
 
 
 def _entries(group: SymmetricGroup, wi: int, tops: array, col: int) -> array:

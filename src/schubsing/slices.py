@@ -42,6 +42,7 @@ import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations
+from numbers import Rational
 from typing import Sequence
 
 from .components import (
@@ -304,14 +305,17 @@ def in_schubert(w: Permutation, flag: FlagMatrix) -> bool:
     For every p, q the span of the first p generators must meet the span of
     the first q coordinate vectors in dimension at least r_w(p, q).  Rational
     rows are scaled to ints, then run through :func:`_member`.  A flag of
-    the wrong size, or whose rows are linearly dependent (so not a flag),
-    raises ``ValueError``.
+    the wrong size, with an entry that is not rational (a float, a string),
+    or whose rows are linearly dependent (so not a flag), raises
+    ``ValueError``.
     """
     n = w.n
     if flag.n != n:
         raise ValueError(f"size mismatch: flag {flag.n} vs permutation {n}")
     if len(flag.rows) != n or any(len(row) != n for row in flag.rows):
         raise ValueError(f"a flag in dimension {n} needs {n} rows of {n} entries")
+    if not all(isinstance(x, Rational) for row in flag.rows for x in row):
+        raise ValueError("flag entries must be ints or fractions")
     rows = [integer_row(row) for row in flag.rows]
     inside = _member(_caps(w), rows)
     # _member stops at the first broken condition, before it has seen every

@@ -8,12 +8,14 @@ every group we store, once per process:
   r_v(p, q) >= k, with v in lexicographic order of one-line notation,
 * the Coxeter lengths of all n! permutations,
 
-and build on first use, for the callers that read them:
+and build on first use, for the KL recursion and the tangent counts:
 
-* the index of v.t for every permutation v and transposition t
-  (``tprod``, read by ``tangent_counts``),
-* the index of s_a.v for every v and simple reflection s_a (``lmul``), and
-  the left descents of every v (``descents``), read by the KL recursion.
+* the index of s_a.v for every v and simple reflection s_a (``lmul``), the
+  group's only multiplication table: v.t for a transposition t is a walk
+  along it,
+* the left descents of every v (``descents``), from which ``coset_tops``
+  reads the tops of a w's left descent cosets, the only points the KL
+  tables store and the component oracle counts at.
 
 None of these is built one permutation at a time.  In lexicographic order
 S_n is n consecutive blocks of (n - 1)! permutations: block a holds the v
@@ -26,10 +28,6 @@ the builders go up from S_1 one n at a time:
   top: {u : r_u(p - 1, q - 1) >= k - 1} in the q blocks a < q, then
   {u : r_u(p - 1, q) >= k} in the others;
 * lengths: S_{n-1}'s lengths plus a in block a;
-* v.t for t = (i, j) with i >= 1 moves only the tail: S_{n-1}'s column
-  (i - 1, j - 1) plus the block offset a (n - 1)!.  t = (0, 1) swaps the
-  first two values, which sends each run of (n - 2)! permutations sharing
-  them to another run; (0, j) is (1, j).(0, 1).(1, j);
 * s_a.v relabels the tail by s_a or s_{a-1} (S_{n-1}'s column plus the
   block offset), or, when v(1) is a or a + 1, moves v to the neighbouring
   block at the same offset;
@@ -53,13 +51,14 @@ from array import array
 from functools import cached_property, reduce
 from itertools import accumulate, compress
 from math import factorial
+from operator import add
 from typing import Sequence
 
 from .perms import Permutation
 
 __all__ = ["MAX_N", "SymmetricGroup", "symmetric_group"]
 
-# S_9's bitsets take about 6 MB and its v.t table 52 MB; past that,
+# S_9's bitsets take about 6 MB and its s_a.v table 11.6 MB; past that,
 # filtering all of S_n per query is no longer a sane strategy.
 MAX_N = 9
 
@@ -125,42 +124,6 @@ def _block_lengths(prev: bytes, n: int) -> bytes:
     return b"".join(prev.translate(_PLUS[a]) for a in range(n))
 
 
-def _block_tprod(prev: array, n: int) -> array:
-    """v.t indices of S_n from those of S_{n-1}, written one column at a time."""
-    block = factorial(n - 1)
-    ntrans, prev_ntrans = n * (n - 1) // 2, (n - 1) * (n - 2) // 2
-    tprod = array("i", [0]) * (block * n * ntrans)
-    # Transposition (i, j) with i >= 1 is column (i - 1, j - 1) of S_{n-1},
-    # which sits n - 1 columns further on in S_n's (i, j)-ordered list.
-    for t in range(prev_ntrans):
-        prev_col = prev[t::prev_ntrans]
-        col = array("i")
-        col.frombytes(b"".join(_raised(prev_col, a * block) for a in range(n)))
-        tprod[n - 1 + t :: ntrans] = col
-    if n < 2:
-        return tprod
-    # (0, 1): first values x, y (0-based) -> y, x.  The other n - 2 values
-    # keep their order, so the k-th run of (n - 2)! permutations goes whole
-    # to the run starting at starts[k].
-    run = block // (n - 1)
-    starts = [
-        y * block + (x - (x > y)) * run for x in range(n) for y in range(n) if y != x
-    ]
-    col = array("i")
-    for start in starts:
-        col.extend(range(start, start + run))
-    tprod[0::ntrans] = col
-    for j in range(2, n):
-        # (0, j) = (1, j).(0, 1).(1, j); the first two factors only reorder
-        # the runs of the (1, j) column.
-        to_1j = tprod[n - 3 + j :: ntrans]
-        then_01 = array("i")
-        for start in starts:
-            then_01 += to_1j[start : start + run]
-        tprod[j - 1 :: ntrans] = array("i", map(then_01.__getitem__, to_1j))
-    return tprod
-
-
 def _block_lmul(prev: array, n: int) -> array:
     """s_a.v indices of S_n from those of S_{n-1}, written one column at a time."""
     block, stride, prev_stride = factorial(n - 1), n - 1, n - 2
@@ -204,28 +167,16 @@ class SymmetricGroup:
             raise ValueError(f"n must be between 1 and {MAX_N}, got {n}")
         self.n = n
         self.order = factorial(n)
-        # tprod's columns take the 0-based position pairs (i, j), i < j, in
-        # lexicographic order.
-        self.ntrans = n * (n - 1) // 2
         # Each array is built up from S_1's, one n at a time.
         self.lengths = array("B", reduce(_block_lengths, range(2, n + 1), b"\0"))
         self._bitsets = reduce(_block_bitsets, range(2, n + 1), ())
-
-    @cached_property
-    def tprod(self) -> array:
-        """Right multiplication: ``tprod[v * ntrans + t]`` is the index of v.t.
-
-        v.t swaps two positions of v in one-line notation.  Built on first
-        use: only ``tangent_counts`` reads it.
-        """
-        return reduce(_block_tprod, range(2, self.n + 1), array("i"))
 
     @cached_property
     def lmul(self) -> array:
         """Left multiplication: ``lmul[v * (n - 1) + a - 1]`` is the index of s_a.v.
 
         s_a.v swaps the values a and a + 1 in one-line notation.  Built on
-        first use: only the KL recursion needs it.
+        first use: the KL recursion and ``tangent_counts`` read it.
         """
         return reduce(_block_lmul, range(2, self.n + 1), array("i"))
 
@@ -233,7 +184,7 @@ class SymmetricGroup:
     def descents(self) -> bytes:
         """Left descents: bit a - 1 of ``descents[v]`` is set iff s_a.v < v.
 
-        Built on first use: only the KL recursion needs them.
+        Built on first use: the KL recursion and ``coset_tops`` read them.
         """
         return reduce(_block_descents, range(2, self.n + 1), b"\0")
 
@@ -288,19 +239,41 @@ class SymmetricGroup:
         mask = self.lower_mask(wi)
         return array("i", compress(range(len(mask)), mask))
 
+    def coset_tops(self, mask: bytes, descents: int) -> array:
+        """Indices of the v in ``mask`` that have every left descent in ``descents``, ascending.
+
+        ``descents`` is a bitset, bit a - 1 for s_a.  With w's interval mask
+        and w's own left descents D these are the tops of the left cosets
+        W_D v below w: s.v <= w iff v <= w for each s in D, so each coset
+        meets the interval whole or not at all.
+        """
+        has_all = bytes(map(descents.__eq__, map(descents.__and__, range(256))))
+        selected = self.descents.translate(has_all)
+        below = int.from_bytes(mask, "big") & int.from_bytes(selected, "big")
+        return array("i", compress(range(self.order), below.to_bytes(self.order, "big")))
+
     def tangent_counts(self, mask: bytes, cands: Sequence[int]) -> array:
         """For each candidate v: #{transpositions t : v.t <= w}.
 
         ``mask`` is ``lower_mask(wi)`` of w, which the caller already holds.
+        v.t swaps two values a < b of v, so v.t = (a b).v, and
+        (a b) = s_a s_{a+1} ... s_{b-1} ... s_{a+1} s_a.  The count walks
+        each word along ``lmul``, all candidates one letter at a time: up
+        through s_a, ..., s_{b-1}, a walk every b with the same a shares,
+        then down through s_{b-2}, ..., s_a.
         """
-        tprod, ntrans = self.tprod, self.ntrans
-        return array(
-            "i",
-            (
-                sum(map(mask.__getitem__, tprod[v * ntrans : (v + 1) * ntrans]))
-                for v in cands
-            ),
-        )
+        stride = self.n - 1
+        # cols[c][v] is the index of s_{c+1}.v, a view into lmul.
+        cols = [memoryview(self.lmul)[c::stride] for c in range(stride)]
+        counts = [0] * len(cands)
+        for a in range(stride):
+            up = cands
+            for b in range(a, stride):
+                up = down = list(map(cols[b].__getitem__, up))
+                for c in range(b - 1, a - 1, -1):
+                    down = list(map(cols[c].__getitem__, down))
+                counts = list(map(add, counts, map(mask.__getitem__, down)))
+        return array("i", counts)
 
 
 _groups: dict[int, SymmetricGroup] = {}

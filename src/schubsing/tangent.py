@@ -12,10 +12,15 @@ package is verified against: no pattern data and no slice geometry enters
 here.
 
 ``tangent_dimension`` tests each v.t with ``bruhat_leq``.  The singular
-points and components of w come from :mod:`schubsing.symgroup` instead:
-one interval mask of w gives every v <= w and its count, and each kept
-maximal point's own mask rules out the points below it.  Points sort by
-length, then by group index, which is one-line order.
+points and components of w come from :mod:`schubsing.symgroup` instead,
+which counts v.t <= w on one interval mask of w, walking v.t along its
+left-multiplication table.  m(w, v) is constant on each left coset
+W_D v, D the left descents of w (Billey-Lakshmibai, *Singular Loci of
+Schubert Varieties*, 2000), so ``component_counts`` counts only at the
+coset tops the group reads off (``SymmetricGroup.coset_tops``, the same
+tops the KL tables store), and each kept maximal point's own mask rules
+out the points below it.  ``singular_points`` counts at every v <= w.
+Points sort by length, then by group index, which is one-line order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .perms import Permutation, all_transpositions, bruhat_leq, compose, length
-from .symgroup import SymmetricGroup, symmetric_group
+from .symgroup import symmetric_group
 
 __all__ = [
     "TangentReport",
@@ -61,42 +66,49 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
     return TangentReport(v, w, count, count - length(w))
 
 
-def _singular_counts(w: Permutation) -> tuple[SymmetricGroup, dict[int, int]]:
-    """The group of w and m(w, v) for each singular point v <= w, by group index."""
-    group = symmetric_group(w.n)
-    mask = group.lower_mask(group.index_of(w.values))
-    cands = list(compress(range(group.order), mask))
-    counts = group.tangent_counts(mask, cands)
-    lw = length(w)
-    return group, {vi: count for vi, count in zip(cands, counts) if count > lw}
-
-
 def singular_points(w: Permutation) -> set[Permutation]:
     """Fixed points v <= w where the tangent dimension exceeds length(w).
 
-    No caller in the package; it stays public because ``perfbench/traced.py`` times it.
+    Counts at every v of the interval.  No caller in the package: it is the
+    tests' reference for :func:`component_counts`, and ``perfbench/traced.py``
+    times it.
     """
-    group, counts = _singular_counts(w)
-    return {group.perm(vi) for vi in counts}
+    group = symmetric_group(w.n)
+    wi = group.index_of(w.values)
+    mask = group.lower_mask(wi)
+    cands = list(compress(range(group.order), mask))
+    counts = group.tangent_counts(mask, cands)
+    lw = group.lengths[wi]
+    return {group.perm(vi) for vi, count in zip(cands, counts) if count > lw}
 
 
 def component_counts(w: Permutation) -> list[tuple[Permutation, int]]:
     """Each Bruhat-maximal singular point v with its tangent count m(w, v).
 
     Sorted by one-line notation of v; the points are those of
-    :func:`singular_components`.
+    :func:`singular_components`.  Only the tops of w's left descent cosets
+    are counted: m(w, .) is constant on each coset, so every maximal
+    singular point is a top, and a top below a singular point is below that
+    point's top.
     """
-    group, counts = _singular_counts(w)
+    group = symmetric_group(w.n)
+    wi = group.index_of(w.values)
+    mask = group.lower_mask(wi)
+    tops = group.coset_tops(mask, group.descents[wi])
+    counts = group.tangent_counts(mask, tops)
+    lw = group.lengths[wi]
+    singular = {vi: count for vi, count in zip(tops, counts) if count > lw}
     # Scan by decreasing length; a point is maximal iff it is not below any
-    # already-kept maximal point.
+    # already-kept maximal point, that is, outside the union of their masks.
     kept: list[int] = []
-    kept_masks: list[bytes] = []
-    for vi in sorted(counts, key=lambda vi: (-group.lengths[vi], vi)):
-        if any(mask[vi] for mask in kept_masks):
+    covered = bytes(group.order)
+    for vi in sorted(singular, key=lambda vi: (-group.lengths[vi], vi)):
+        if covered[vi]:
             continue
         kept.append(vi)
-        kept_masks.append(group.lower_mask(vi))
-    return [(group.perm(vi), counts[vi]) for vi in sorted(kept)]
+        union = int.from_bytes(covered, "big") | int.from_bytes(group.lower_mask(vi), "big")
+        covered = union.to_bytes(group.order, "big")
+    return [(group.perm(vi), singular[vi]) for vi in sorted(kept)]
 
 
 def singular_components(w: Permutation) -> set[Permutation]:

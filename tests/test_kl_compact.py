@@ -21,6 +21,7 @@ from schubsing import kl, symgroup
 from schubsing.kl import _add_shifted, _strip, kl_recursion
 from schubsing.perms import Permutation
 from schubsing.symgroup import SymmetricGroup, symmetric_group
+from schubsing.tangent import component_counts
 
 
 def _swap_values(values, a):
@@ -153,18 +154,22 @@ def test_left_multiplication_table(n):
 
 
 def test_group_builds_each_array_on_first_use(monkeypatch, fresh_memo):
-    """A new group builds no tprod, lmul or descents; the KL recursion builds no tprod."""
-    assert not {"tprod", "lmul", "descents"} & set(vars(SymmetricGroup(5)))
-    monkeypatch.setattr(symgroup, "_groups", {})
+    """A new group holds its bitsets and lengths only.
+
+    The KL recursion and the component counts each add exactly the s_a.v
+    table and the descent bytes: one multiplication table serves both.
+    """
+    base = {"n", "order", "lengths", "_bitsets"}
+    assert set(vars(SymmetricGroup(5))) == base
     perms = [Permutation(values) for values in permutations(range(1, 7))]
+    monkeypatch.setattr(symgroup, "_groups", {})
     for w in perms[::37]:
         kl_recursion(perms[0], w)
-    group = symmetric_group(6)
-    assert {"lmul", "descents"} <= set(vars(group))
-    assert "tprod" not in vars(group)
-    wi = group.order - 1
-    group.tangent_counts(group.lower_mask(wi), group.interval(wi))
-    assert "tprod" in vars(group)
+    assert set(vars(symmetric_group(6))) == base | {"lmul", "descents"}
+    monkeypatch.setattr(symgroup, "_groups", {})
+    for w in perms[::37]:
+        component_counts(w)
+    assert set(vars(symmetric_group(6))) == base | {"lmul", "descents"}
 
 
 def test_s6_tables_stay_small(fresh_memo):

@@ -292,6 +292,18 @@ def test_membership_rejects_misshapen_flags(rows):
             in_schubert(w, flag)
 
 
+@pytest.mark.parametrize("entry", [1.5, 1.0, "1", None, 1j])
+def test_membership_rejects_entries_that_are_not_rational(entry):
+    """A float, string, None or complex entry is a ValueError, not an AttributeError."""
+    flag = schubsing.slices.FlagMatrix(2, ((entry, 1), (0, 1)))
+    with pytest.raises(ValueError, match="entries must be ints or fractions"):
+        in_schubert(make_permutation([2, 1]), flag)
+    # Ints, bools and fractions are rational.
+    for entry in (2, True, Fraction(3, 2)):
+        flag = schubsing.slices.FlagMatrix(2, ((entry, 1), (0, 1)))
+        assert in_schubert(make_permutation([2, 1]), flag) is True
+
+
 def test_membership_rejects_dependent_rows_after_a_broken_condition():
     """Row 1 already breaks X_123's conditions; rows 1 and 2 are still dependent."""
     flag = schubsing.slices.FlagMatrix(3, ((0, 0, 1), (0, 0, 2), (1, 0, 0)))

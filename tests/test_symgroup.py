@@ -3,20 +3,24 @@
 The ``reference_*`` builders below are one-permutation-at-a-time
 constructions of the group's arrays, and of the rank tables its interval
 bitsets are read from.  The block construction in ``schubsing.symgroup``
-must reproduce them byte for byte.
+must reproduce them byte for byte.  Coset tops and tangent counts are
+checked against references read off one-line notation.
 """
 
+import inspect
 import os
 import sys
+import textwrap
 import tracemalloc
 from array import array
 from itertools import combinations, permutations
 
 import pytest
 
+from schubsing import symgroup
 from schubsing.perms import Permutation, bruhat_leq, length
 from schubsing.symgroup import MAX_N, SymmetricGroup, symmetric_group
-from schubsing.tangent import tangent_dimension
+from schubsing.tangent import component_counts, tangent_dimension
 
 
 def reference_tables(n, perms):
@@ -38,19 +42,6 @@ def reference_lengths(n, perms):
         "B",
         (sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b]) for p in perms),
     )
-
-
-def reference_tprod(n, perms, index):
-    """Index of v.t for every v and position pair t = (i, j), i < j."""
-    out = array("i")
-    for p in perms:
-        lp = list(p)
-        for i in range(n):
-            for j in range(i + 1, n):
-                lp[i], lp[j] = lp[j], lp[i]
-                out.append(index[tuple(lp)])
-                lp[i], lp[j] = lp[j], lp[i]
-    return out
 
 
 def reference_bitsets(n, perms):
@@ -95,8 +86,6 @@ def _assert_matches_references(n):
     assert bitsets == reference_bitsets(n, perms)
     expected = reference_lengths(n, perms)
     assert group.lengths.typecode == expected.typecode and group.lengths == expected
-    expected = reference_tprod(n, perms, index)
-    assert group.tprod.typecode == expected.typecode and group.tprod == expected
     expected = reference_lmul(n, perms, index)
     assert group.lmul.typecode == expected.typecode and group.lmul == expected
     assert type(group.descents) is bytes
@@ -125,19 +114,15 @@ def test_block_build_keeps_transients_small():
     """The S_8 build never holds more than a few columns beyond what it keeps.
 
     The bitsets of S_7 and the partly built bitset are all the group build
-    holds besides its result.  Each tprod and lmul column is written into
-    its array as soon as it is built; keeping every column until the end
-    would add a whole array.
+    holds besides its result.  Each lmul column is written into its array
+    as soon as it is built; keeping every column until the end would add a
+    whole array.
     """
     tracemalloc.start()
     try:
         group = SymmetricGroup(8)
         kept, peak = tracemalloc.get_traced_memory()
         assert peak - kept < (_bitset_bytes(group) + len(group.lengths)) / 4
-        tracemalloc.reset_peak()
-        group.tprod
-        kept, peak = tracemalloc.get_traced_memory()
-        assert peak - kept < len(group.tprod) * group.tprod.itemsize / 2
         tracemalloc.reset_peak()
         group.lmul
         kept, peak = tracemalloc.get_traced_memory()
@@ -146,17 +131,49 @@ def test_block_build_keeps_transients_small():
         tracemalloc.stop()
 
 
-def test_group_keeps_only_its_arrays():
-    """S_8 keeps its bitsets and lengths; no n!-tuple of permutations, no mask cache."""
+_BASE = {"n", "order", "lengths", "_bitsets"}
+
+
+def test_group_keeps_only_its_arrays(monkeypatch):
+    """S_8 keeps its bitsets and lengths; no n!-tuple of permutations, no mask cache.
+
+    Counting the components of a w adds exactly the s_a.v table and the
+    descent bytes.
+    """
+    monkeypatch.setattr(symgroup, "_groups", {})
     tracemalloc.start()
     try:
-        group = SymmetricGroup(8)
+        group = symmetric_group(8)
         group.lower_mask(group.order - 1)
+        kept, _ = tracemalloc.get_traced_memory()
+        assert set(vars(group)) == _BASE
+        assert kept - _bitset_bytes(group) - len(group.lengths) < 1_000_000
+        component_counts(Permutation((5, 6, 7, 8, 1, 2, 3, 4)))
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not {"tprod", "lmul", "descents"} & set(vars(group))
-    assert kept - _bitset_bytes(group) - len(group.lengths) < 1_000_000
+    assert set(vars(group)) == _BASE | {"lmul", "descents"}
+    arrays = _bitset_bytes(group) + len(group.lengths) + len(group.descents)
+    assert kept - arrays - len(group.lmul) * group.lmul.itemsize < 1_000_000
+
+
+@pytest.mark.parametrize("values", [(5, 6, 7, 8, 1, 2, 3, 4), (3, 6, 8, 1, 7, 4, 2, 5)])
+def test_component_counts_peak_stays_near_lmul(monkeypatch, values):
+    """At n = 8 the whole count, lmul's build included, peaks below lmul plus 1 MB.
+
+    S_8's lmul is 1.1 MB, and any table of v.t for all n! v and n(n-1)/2
+    transpositions (4.5 MB) would break the bound.  5,6,7,8,1,2,3,4 has 36
+    components, so masks kept per component would break it too.
+    """
+    monkeypatch.setattr(symgroup, "_groups", {})
+    group = symmetric_group(8)
+    tracemalloc.start()
+    try:
+        component_counts(Permutation(values))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(group.lmul) * group.lmul.itemsize + 1_000_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -179,6 +196,73 @@ def test_masks_reject_ranks_outside_the_group():
             group.interval(wi)
 
 
+def reference_coset_tops(perms, mask, w):
+    """The v with mask[v] set whose left descents include all of w's, off one-line notation."""
+    descents = set(_left_descents(w))
+    return [vi for vi, v in enumerate(perms) if mask[vi] and descents <= set(_left_descents(v))]
+
+
+def _left_descents(values):
+    """Every a with a + 1 placed before a."""
+    return [a for a in range(1, len(values)) if values.index(a + 1) < values.index(a)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coset_tops_match_one_line_reference(n):
+    group = symmetric_group(n)
+    perms = list(permutations(range(1, n + 1)))
+    for wi, w in enumerate(perms):
+        mask = group.lower_mask(wi)
+        tops = group.coset_tops(mask, group.descents[wi])
+        assert tops.typecode == "i"
+        assert list(tops) == reference_coset_tops(perms, mask, w), w
+
+
+def _swap_count_mismatches(n):
+    """(w, v) of S_n where tangent_counts differs from swapping positions and ranking."""
+    group = symmetric_group(n)
+    perms = list(permutations(range(1, n + 1)))
+    swapped = [
+        [
+            group.index_of(v[:i] + (v[j],) + v[i + 1 : j] + (v[i],) + v[j + 1 :])
+            for i, j in combinations(range(n), 2)
+        ]
+        for v in perms
+    ]
+    bad = []
+    for wi in range(group.order):
+        mask = group.lower_mask(wi)
+        counts = group.tangent_counts(mask, range(group.order))
+        for vi, count in enumerate(counts):
+            if count != sum(mask[ui] for ui in swapped[vi]):
+                bad.append((wi, vi))
+    return bad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tangent_counts_match_swapped_indices(n):
+    """Every v of S_n, below w or not: the lmul walk equals swap-then-index_of."""
+    assert _swap_count_mismatches(n) == []
+
+
+def _mutant(func, old, new):
+    """``func`` recompiled from its source with ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace = dict(func.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
+
+
+def test_a_walk_missing_a_letter_is_caught(monkeypatch):
+    """Dropping the last s_a of each downward walk breaks the swap comparison."""
+    mutant = _mutant(
+        SymmetricGroup.tangent_counts, "range(b - 1, a - 1, -1)", "range(b - 1, a, -1)"
+    )
+    monkeypatch.setattr(SymmetricGroup, "tangent_counts", mutant)
+    assert _swap_count_mismatches(4)
+
+
 def test_tangent_counts_agree_with_tangent_dimension():
     group = symmetric_group(5)
     for wi, values in enumerate(permutations(range(1, 6))):
@@ -189,18 +273,6 @@ def test_tangent_counts_agree_with_tangent_dimension():
         for vi, count in zip(cands, counts):
             v = group.perm(vi)
             assert count == tangent_dimension(v, w).dim, (v, w)
-
-
-def test_tprod_matches_composition():
-    """Neighbour table: entry (v, t) is the index of v composed with t."""
-    group = symmetric_group(4)
-    ntrans = group.ntrans
-    assert ntrans == 6
-    for vi, values in enumerate(permutations(range(1, 5))):
-        for ti, (a, b) in enumerate(combinations(range(4), 2)):
-            swapped = list(values)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            assert group.tprod[vi * ntrans + ti] == group.index_of(tuple(swapped))
 
 
 def test_lengths_array():

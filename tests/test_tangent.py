@@ -1,6 +1,7 @@
 """Tests for the tangent-space oracle and singular locus enumeration."""
 
 import itertools
+import os
 
 import pytest
 
@@ -13,8 +14,13 @@ from schubsing.perms import (
     length,
     make_permutation,
 )
-from schubsing.symgroup import symmetric_group
-from schubsing.tangent import singular_components, singular_points, tangent_dimension
+from schubsing.symgroup import SymmetricGroup, symmetric_group
+from schubsing.tangent import (
+    component_counts,
+    singular_components,
+    singular_points,
+    tangent_dimension,
+)
 
 
 def all_perms(n):
@@ -136,3 +142,59 @@ def test_singular_points_form_lower_ideal(n):
                 if byte:
                     below_bits |= 1 << idx
             assert below_bits & nonsingular_mask == 0, (group.perm(wi), group.perm(vi))
+
+
+def _covers(v):
+    """The covers of v in Bruhat order: swap v(i) < v(j) when no value between them lies between."""
+    for i, j in itertools.combinations(range(len(v)), 2):
+        if v[i] < v[j] and not any(v[i] < x < v[j] for x in v[i + 1 : j]):
+            yield v[:i] + (v[j],) + v[i + 1 : j] + (v[i],) + v[j + 1 :]
+
+
+def reference_component_counts(w):
+    """Counts over the whole interval, then the singular points, then the maximal ones.
+
+    The singular points form a lower ideal of [e, w], so a singular point is
+    maximal iff none of its covers below w is singular.
+    """
+    group = symmetric_group(w.n)
+    wi = group.index_of(w.values)
+    interval = group.interval(wi)
+    counts = dict(zip(interval, group.tangent_counts(group.lower_mask(wi), interval)))
+    lw = length(w)
+    singular = {vi for vi, count in counts.items() if count > lw}
+    return [
+        (group.perm(vi), counts[vi])
+        for vi in sorted(singular)
+        if not any(group.index_of(u) in singular for u in _covers(group.perm(vi).values))
+    ]
+
+
+def _route_mismatches(n):
+    """The w of S_n whose coset-top component counts differ from the full-interval route."""
+    return [w for w in all_perms(n) if component_counts(w) != reference_component_counts(w)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_component_counts_match_full_interval_route(n):
+    assert _route_mismatches(n) == []
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SCHUBSING_N7"),
+    reason="the S_7 full-interval route runs only with SCHUBSING_N7=1",
+)
+def test_component_counts_match_full_interval_route_s7():
+    assert _route_mismatches(7) == []
+
+
+def test_a_top_rule_demanding_a_missing_descent_is_caught(monkeypatch):
+    """Tops that must also have the smallest descent w lacks lose components of S_5."""
+    real = SymmetricGroup.coset_tops
+
+    def demanding(self, mask, descents):
+        lacking = ~descents & ((1 << self.n - 1) - 1)
+        return real(self, mask, descents | (lacking & -lacking))
+
+    monkeypatch.setattr(SymmetricGroup, "coset_tops", demanding)
+    assert _route_mismatches(5)
