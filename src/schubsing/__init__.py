@@ -4,50 +4,29 @@ The package decides smoothness, locates the irreducible components of the
 singular locus, classifies each component into one of three types, and
 verifies the associated local data exactly: transversal slice equations,
 tangent space dimensions, and Kazhdan-Lusztig polynomials.
+
+The top level exports what README documents, and the types and errors
+those functions take or raise; every other name is imported from its
+module (``schubsing.perms``, ``schubsing.components``, ...).
 """
 
 from .components import (
-    TYPE_3412_EMPTY,
-    TYPE_3412_STAR,
-    TYPE_4231,
     ClassificationError,
-    Component,
-    classify_component,
     components_from_patterns,
     enumerate_components,
-    verify_formulas,
 )
-from .kl import clear_kl_cache, kl_recursion
-from .patterns import PatternOccurrence, find_patterns, is_smooth
-from .perms import (
-    Permutation,
-    bruhat_leq,
-    compose,
-    format_permutation,
-    identity,
-    inverse,
-    length,
-    longest_element,
-    make_permutation,
-    parse_permutation,
-    rank_table,
-    transposition,
-)
+from .kl import kl_recursion
+from .patterns import find_patterns, is_smooth
+from .perms import Permutation, make_permutation, parse_permutation
 from .slices import (
     FlagMatrix,
-    SliceModel,
     SliceStructureError,
-    SliceVerdict,
     build_slice,
-    determinantal_model,
-    embed_point,
-    free_coordinates,
     in_schubert,
-    slice_report,
     verify_slice,
 )
-from .sweep import verify_all, verify_permutation
-from .tangent import TangentReport, singular_components, tangent_dimension
+from .sweep import verify_all
+from .tangent import singular_components, tangent_dimension
 
 __version__ = "0.1.0"
 
@@ -57,47 +36,22 @@ BACKEND = "python"
 
 __all__ = [
     "BACKEND",
-    "TYPE_3412_EMPTY",
-    "TYPE_3412_STAR",
-    "TYPE_4231",
     "ClassificationError",
-    "Component",
     "FlagMatrix",
-    "PatternOccurrence",
     "Permutation",
-    "SliceModel",
     "SliceStructureError",
-    "SliceVerdict",
-    "TangentReport",
     "__version__",
-    "bruhat_leq",
     "build_slice",
-    "classify_component",
-    "clear_kl_cache",
     "components_from_patterns",
-    "compose",
-    "determinantal_model",
-    "embed_point",
     "enumerate_components",
     "find_patterns",
-    "format_permutation",
-    "free_coordinates",
-    "identity",
     "in_schubert",
-    "inverse",
     "is_smooth",
     "kl_recursion",
-    "length",
-    "longest_element",
     "make_permutation",
     "parse_permutation",
-    "rank_table",
     "singular_components",
-    "slice_report",
     "tangent_dimension",
-    "transposition",
     "verify_all",
-    "verify_formulas",
-    "verify_permutation",
     "verify_slice",
 ]

@@ -143,10 +143,6 @@ class Component(ABC):
     def kl_closed_form(self) -> tuple[int, ...]:
         """The Kazhdan-Lusztig polynomial P(v, w) the family predicts."""
 
-    def formulas_hold(self, lw: int, lv: int, dim: int) -> bool:
-        """Codim and excess against length(w), length(v) and ``dim`` = m(w, v)."""
-        return lw - lv == self.codim and dim - lw == self.excess
-
     @abstractmethod
     def fit_cone(self, free: Sequence[Cell]) -> Cone:
         """The family's cone over ``free``, indexed by position, or SliceStructureError."""
@@ -462,8 +458,9 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
     unless v is a component point (an element of
     :func:`schubsing.tangent.singular_components`).  It reads
     :func:`enumerate_components`, so it needs n <= ``MAX_N``.  The sweep
-    calls ``enumerate_components`` itself; this stays public because
-    ``perfbench/traced.py`` times it.
+    calls ``enumerate_components`` itself; the tests and
+    ``perfbench/traced.py`` use this one-point lookup, imported from this
+    module.
     """
     if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
@@ -545,7 +542,7 @@ def components_from_patterns(w: Permutation) -> list[Component]:
         v = Permutation(tuple(v_vals))
         lv = length(v)
         c = family(v=v, l=side_l, m=side_m)
-        if not c.formulas_hold(lw, lv, lw + c.excess):
+        if lw - lv != c.codim:
             raise ClassificationError(
                 f"{family.ctype} configuration of {vals} gives v={v.values} "
                 f"with codimension {lw - lv}, against l={side_l}, m={side_m}"
@@ -630,4 +627,5 @@ def verify_formulas(c: Component, w: Permutation) -> bool:
     :func:`enumerate_components` matched the excess to the kernel's count;
     here m(w, v) comes from the oracle :func:`schubsing.tangent.tangent_dimension`.
     """
-    return c.formulas_hold(length(w), length(c.v), tangent_dimension(c.v, w).dim)
+    lw = length(w)
+    return lw - length(c.v) == c.codim and tangent_dimension(c.v, w).dim - lw == c.excess

@@ -39,9 +39,10 @@ Polynomials are dense tuples of nonnegative integer coefficients, constant
 term first.  Each distinct polynomial is interned once in a process-wide
 list (all of S_7 has only 98 of them).  A table holds two parallel int
 arrays, the tops ascending and one polynomial id per top, and the left
-descents of w.  The memo is module-level and lock-guarded, so concurrent
-sweeps either share it safely or (as the multiprocessing sweep does) keep
-one per worker process.
+descents of w.  The tables are the only memo (mu(z, y) is read off y's
+table whenever the recursion needs it); it is module-level and
+lock-guarded, so concurrent sweeps either share it safely or (as the
+multiprocessing sweep does) keep one per worker process.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ _poly_ids: dict[KLPoly, int] = {}
 _Table = tuple[array, array, int]
 # (n, w index) -> the table of w.
 _tables: dict[tuple[int, int], _Table] = {}
-# (n, y index) -> (every z < y with mu(z, y) != 0; mu(z, y) per z).
-_mu_supports: dict[tuple[int, int], tuple[array, array]] = {}
 _lock = threading.RLock()
 
 
@@ -85,14 +84,13 @@ def kl_recursion(v: Permutation, w: Permutation) -> KLPoly:
 
 
 def clear_kl_cache() -> None:
-    """Drop all memoized tables (mainly for tests and worker hygiene).
+    """Drop all memoized tables, the module's only memo (mainly for tests and worker hygiene).
 
     The interned polynomials stay, so a table another thread still holds
     keeps reading the right ones.
     """
     with _lock:
         _tables.clear()
-        _mu_supports.clear()
 
 
 def _intern(poly: KLPoly) -> int:
@@ -133,23 +131,17 @@ def _add_shifted(acc: list[int], poly: KLPoly, shift: int, scale: int = 1) -> No
         acc[shift + i] += scale * coeff
 
 
-def _mu_support(group: SymmetricGroup, yi: int) -> tuple[array, array]:
-    """All z < y with mu(z, y) nonzero: the stored tops of full degree, then each s.y."""
-    key = (group.n, yi)
-    with _lock:
-        cached = _mu_supports.get(key)
-        if cached is not None:
-            return cached
+def _mu_support(group: SymmetricGroup, yi: int) -> tuple[list[int], list[int]]:
+    """All z < y with mu(z, y) nonzero: the stored tops of full degree, then each s.y.
+
+    Not memoized: each call is one scan of y's table.
+    """
     tops, ids, descents = _kl_table(group, yi)
     lengths, ly, stride = group.lengths, group.lengths[yi], group.n - 1
     s_y = [group.lmul[yi * stride + a] for a in range(stride) if descents >> a & 1]
     # deg P(z, y) = (ly - lz - 1) / 2 exactly when the polynomial has (ly - lz + 1) / 2 terms.
     full = [k for k, zi in enumerate(tops) if 2 * len(_polys[ids[k]]) == ly - lengths[zi] + 1]
-    zs = array("i", [tops[k] for k in full] + s_y)
-    support = (zs, array("i", [_polys[ids[k]][-1] for k in full] + [1] * len(s_y)))
-    with _lock:
-        _mu_supports[key] = support
-    return support
+    return [tops[k] for k in full] + s_y, [_polys[ids[k]][-1] for k in full] + [1] * len(s_y)
 
 
 def _kl_table(group: SymmetricGroup, wi: int) -> _Table:

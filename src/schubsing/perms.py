@@ -222,12 +222,3 @@ def format_permutation(w: Permutation) -> str:
     """One-line notation as comma-separated values, e.g. "4,2,3,1"."""
     return ",".join(str(x) for x in w.values)
 
-
-def _main() -> None:  # pragma: no cover
-    import doctest
-
-    doctest.testmod()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _main()

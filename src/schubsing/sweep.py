@@ -53,7 +53,6 @@ def verify_permutation(
     # A finite singular set is empty iff it has no maximal elements.
     smooth_tangent = not classified
     components = []
-    ok = smooth_pattern == smooth_tangent
     for c in classified:
         entry = c.json_fields()
         entry["formulas_ok"] = verify_formulas(c, w)
@@ -71,17 +70,17 @@ def verify_permutation(
             entry["slice_ok"] = False
             entry["slice_failures"] = []
             entry["slice_error"] = str(exc)
-        ok = ok and entry["formulas_ok"] and entry["kl_ok"] and entry["slice_ok"]
         components.append(entry)
-    return {
+    record = {
         "w": format_permutation(w),
         "length": length(w),
         "smooth": smooth_pattern,
         "smooth_pattern": smooth_pattern,
         "smooth_tangent": smooth_tangent,
         "components": components,
-        "ok": ok,
     }
+    record["ok"] = not _record_failures(record)
+    return record
 
 
 class WorkerCrashError(RuntimeError):

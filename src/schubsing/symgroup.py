@@ -125,24 +125,22 @@ def _block_lengths(prev: bytes, n: int) -> bytes:
 
 
 def _block_lmul(prev: array, n: int) -> array:
-    """s_a.v indices of S_n from those of S_{n-1}, written one column at a time."""
+    """s_a.v indices of S_n from those of S_{n-1}, written one block of one column at a time."""
     block, stride, prev_stride = factorial(n - 1), n - 1, n - 2
     ident = array("i", range(block))
     lmul = array("i", [0]) * (block * n * stride)
     for a in range(1, n):
-        pieces = []
         for b in range(n):
             # Block b holds the v with v(1) = b + 1.
             if b == a - 1:
-                pieces.append(_raised(ident, (b + 1) * block))
+                raised = _raised(ident, (b + 1) * block)
             elif b == a:
-                pieces.append(_raised(ident, (b - 1) * block))
+                raised = _raised(ident, (b - 1) * block)
             else:
                 tail = a - 1 if b < a else a
-                pieces.append(_raised(prev[tail - 1 :: prev_stride], b * block))
-        col = array("i")
-        col.frombytes(b"".join(pieces))
-        lmul[a - 1 :: stride] = col
+                raised = _raised(prev[tail - 1 :: prev_stride], b * block)
+            start = b * block * stride + a - 1
+            lmul[start : start + block * stride : stride] = array("i", raised)
     return lmul
 
 

@@ -285,9 +285,25 @@ def test_pattern_route_at_n12():
     ],
 )
 def test_pattern_route_checks_the_lengths(monkeypatch, family, w):
-    monkeypatch.setattr(family, "formulas_hold", lambda self, lw, lv, dim: False)
+    codim = family.codim.fget
+    monkeypatch.setattr(family, "codim", property(lambda self: codim(self) + 1))
     with pytest.raises(ClassificationError):
         components_from_patterns(Permutation(w))
+
+
+@pytest.mark.parametrize("family", [RectangleComponent, QuadricComponent, TwoBlockComponent])
+def test_formulas_catch_a_wrong_excess(monkeypatch, family):
+    """With one family's excess shifted by one, each of its S_5 pairs fails verify_formulas.
+
+    The other families' pairs still pass: the check reads each component's own family.
+    """
+    pairs = list(component_pairs(5))
+    excess = family.excess.fget
+    monkeypatch.setattr(family, "excess", property(lambda self: excess(self) + 1))
+    mine = [(w, c) for w, c in pairs if isinstance(c, family)]
+    assert mine
+    for w, c in pairs:
+        assert verify_formulas(c, w) != isinstance(c, family), (w.values, c.v.values)
 
 
 def test_draw_values_match_randint_and_choice():

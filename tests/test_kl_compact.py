@@ -173,7 +173,11 @@ def test_group_builds_each_array_on_first_use(monkeypatch, fresh_memo):
 
 
 def test_s6_tables_stay_small(fresh_memo):
-    """All 720 tables of S_6 in well under 2 MB (the dict memo took 9.9 MB)."""
+    """All 720 tables of S_6 in under 450 KB (the dict memo took 9.9 MB).
+
+    The tables are the only memo; a second memo of each y's mu-support
+    brought the total to about 530 KB.
+    """
     group = symmetric_group(6)
     group.lmul
     tracemalloc.start()
@@ -183,7 +187,7 @@ def test_s6_tables_stay_small(fresh_memo):
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert current < 2_000_000
+    assert current < 450_000
     for tops, ids, _ in kl._tables.values():
         assert len(tops) == len(ids)
 
