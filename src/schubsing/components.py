@@ -47,10 +47,10 @@ smaller; both form decreasing chains.
   both sides inside(i, j, w(k), w(l)) and inside(k, l, w(i), w(j)) empty:
   3412* with l the chain length, and v takes w(k), w(i), w(l), w(j) at
   i, j, k, l.  With an empty centre, S is the maxima of the left side and
-  T the minima of the right side, l = |S| + |T|, and the type is 3412empty
-  (3412* when l = 0).  v takes w(i) at j and w(l) at k, and shifts values
-  as for 4231 along i -> S, ending in w(k), and along T -> l, starting
-  from w(j).
+  T the minima of the right side, (l, m) = (|S|, |T|), and the type is
+  3412empty (3412* with l = 0 when both are empty).  v takes w(i) at j and
+  w(l) at k, and shifts values as for 4231 along i -> S, ending in w(k),
+  and along T -> l, starting from w(j).
 
 :func:`enumerate_components`, which the sweeps use, checks that list by brute
 force against the Bruhat-maximal singular points and their tangent counts
@@ -113,9 +113,8 @@ class SliceStructureError(RuntimeError):
 class Component(ABC):
     """One component of the singular locus of X_w; each family is a subclass.
 
-    ``l`` and ``m`` are the side counts of the generic cone.  For the two
-    3412 types ``m`` is None: the 3412* slice depends on l alone, and for
-    3412empty ``l`` stores the aggregate l + m, which is all the reports show.
+    ``l`` and ``m`` are the side counts of the generic cone.  For 3412*
+    ``m`` is None: its slice depends on l alone.
 
     A family owns its codimension and excess as functions of (l, m) and its
     closed Kazhdan-Lusztig form.  :meth:`fit_cone` fits the family's cone to
@@ -387,17 +386,21 @@ class QuadricComponent(Component):
 
 
 class TwoBlockComponent(Component):
-    """3412empty type: the slice is a cone of rank-one 2 x (l+m+2) matrices."""
+    """3412empty type: the slice is a cone of rank-one 2 x (l+m+2) matrices.
+
+    Its columns form two blocks, of l + 1 and m + 1 columns.
+    """
 
     ctype = TYPE_3412_EMPTY
+    m: int  # both side counts are set for this family
 
     @property
     def codim(self) -> int:
-        return self.l + 3
+        return self.l + self.m + 3
 
     @property
     def excess(self) -> int:
-        return self.l + 1
+        return self.l + self.m + 1
 
     def kl_closed_form(self) -> tuple[int, ...]:
         return (1, 1)
@@ -428,7 +431,7 @@ class TwoBlockComponent(Component):
                 return None
             if {v(r) for r in rows_b} != set(cols_a):
                 return None
-            if (len(rows_a) - 1) + (len(cols_b) - 1) != self.l:
+            if (len(rows_a) - 1, len(cols_b) - 1) != (self.l, self.m):
                 return None
             # A 2-row grid: column i of block A holds cells (i, v(r1)) and
             # (i, v(r2)); column k of block B holds -(r2, k) and (r1, k).
@@ -603,15 +606,17 @@ def components_from_patterns(w: Permutation) -> list[Component]:
                             continue
                         chain_s, chain_t = [], []
                         family: type[Component] = QuadricComponent
-                        side_l = len(centre)
+                        side_l, side_m = len(centre), None
                     else:
                         # Empty centre: the maxima of the left side and the
                         # minima of the right side are the two chains.
                         chain_s, chain_t = _maxima(left), _minima(right)
-                        side_l = len(chain_s) + len(chain_t)
-                        family = TwoBlockComponent if side_l else QuadricComponent
+                        if chain_s or chain_t:
+                            family, side_l, side_m = TwoBlockComponent, len(chain_s), len(chain_t)
+                        else:
+                            family, side_l, side_m = QuadricComponent, 0, None
                     emit(
-                        family, side_l, None,
+                        family, side_l, side_m,
                         [i] + [p for p, _ in chain_s] + [j, k]
                         + [p for p, _ in chain_t] + [l],
                         [x for _, x in chain_s] + [c, a, d, b]

@@ -74,7 +74,6 @@ def verify_permutation(
     record = {
         "w": format_permutation(w),
         "length": length(w),
-        "smooth": smooth_pattern,
         "smooth_pattern": smooth_pattern,
         "smooth_tangent": smooth_tangent,
         "components": components,

@@ -44,8 +44,6 @@ __all__ = [
 class TangentReport:
     """Tangent dimension ``dim`` = m(w, v) and ``excess`` = m(w, v) - length(w)."""
 
-    v: Permutation
-    w: Permutation
     dim: int
     excess: int
 
@@ -63,7 +61,7 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
             "tangent dimensions are defined only on the lower interval"
         )
     count = sum(1 for t in all_transpositions(v.n) if bruhat_leq(compose(v, t), w))
-    return TangentReport(v, w, count, count - length(w))
+    return TangentReport(count, count - length(w))
 
 
 def singular_points(w: Permutation) -> set[Permutation]:

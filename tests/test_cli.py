@@ -127,7 +127,8 @@ def test_report_command(capsys):
     code, out, _ = run_cli(capsys, "report", "3412", "--trials", "5")
     assert code == 0
     data = json.loads(out)
-    assert data["smooth"] is False
+    assert data["smooth_pattern"] is False
+    assert "smooth" not in data
     assert data["ok"] is True
     assert len(data["components"]) == 1
 
@@ -136,7 +137,7 @@ def test_report_smooth_case(capsys):
     code, out, _ = run_cli(capsys, "report", "1234")
     assert code == 0
     data = json.loads(out)
-    assert data["smooth"] is True
+    assert data["smooth_pattern"] is data["smooth_tangent"] is True
     assert data["components"] == []
 
 

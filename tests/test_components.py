@@ -18,6 +18,7 @@ from schubsing.components import (
     ClassificationError,
     QuadricComponent,
     RectangleComponent,
+    SliceStructureError,
     TwoBlockComponent,
     classify_component,
     components_from_patterns,
@@ -45,9 +46,12 @@ def reference_classify(v, w, dim):
     ``dim`` = m(w, v), and S = {i : v(i) != w(i)}.  When the first moved
     position carries the largest moved value of w the frame is 4231, and
     l <= m are the roots of x^2 - (d-1)x + e.  Otherwise e = 1 is 3412* with
-    d = 2l + 3, and e = d - 2 is 3412empty with aggregate l = d - 3.  The
+    d = 2l + 3, and e = d - 2 is 3412empty with l + m = d - 3.  The
     signature (3, 1) fits both the smallest 4231 and the smallest 3412*; the
     frame test decides.
+
+    The answer is a :func:`route_key`: (d, e) fixes only the sum of the
+    3412empty sides.
     """
     lw = length(w)
     d = lw - length(v)
@@ -60,14 +64,21 @@ def reference_classify(v, w, dim):
         root = isqrt(disc) if disc >= 0 else -1
         if root < 0 or root * root != disc or (d - 1 - root) % 2 or d - 1 - root < 2:
             raise ClassificationError(f"4231 frame without side counts >= 1: d={d}, e={e}")
-        return RectangleComponent(v=v, l=(d - 1 - root) // 2, m=(d - 1 + root) // 2)
+        return TYPE_4231, v, (d - 1 - root) // 2, (d - 1 + root) // 2
     if e == 1:
         if d < 3 or (d - 3) % 2:
             raise ClassificationError(f"3412* frame with bad codimension d={d}")
-        return QuadricComponent(v=v, l=(d - 3) // 2, m=None)
+        return TYPE_3412_STAR, v, (d - 3) // 2, None
     if e != d - 2:
         raise ClassificationError(f"3412empty frame needs e = d - 2, got d={d}, e={e}")
-    return TwoBlockComponent(v=v, l=d - 3, m=None)
+    return TYPE_3412_EMPTY, v, d - 3, None
+
+
+def route_key(c):
+    """(family, v, l, m) of a component, with 3412empty's sides summed into l."""
+    if c.ctype == TYPE_3412_EMPTY:
+        return c.ctype, c.v, c.l + c.m, None
+    return c.ctype, c.v, c.l, c.m
 
 
 def test_classify_4231_component():
@@ -83,17 +94,44 @@ def test_classify_3412_star_component():
 
 
 def test_classify_3412_empty_components():
-    """The two aggregate-1 components of S_5, found by exhaustive sweep."""
+    """The two 3412empty components of S_5, found by exhaustive sweep.
+
+    In 35142 one minimum sits right of the square, in 42513 one maximum
+    left of it; w0.w.w0 maps the first pair onto the second and swaps l, m.
+    """
     first = classify_component(
         make_permutation([1, 3, 2, 5, 4]), make_permutation([3, 5, 1, 4, 2])
     )
     assert first.ctype == TYPE_3412_EMPTY
-    assert (first.l, first.m, first.codim, first.excess) == (1, None, 4, 2)
+    assert (first.l, first.m, first.codim, first.excess) == (0, 1, 4, 2)
     second = classify_component(
         make_permutation([2, 1, 4, 3, 5]), make_permutation([4, 2, 5, 1, 3])
     )
     assert second.ctype == TYPE_3412_EMPTY
-    assert (second.l, second.m, second.codim, second.excess) == (1, None, 4, 2)
+    assert (second.l, second.m, second.codim, second.excess) == (1, 0, 4, 2)
+
+
+def test_two_block_fit_checks_each_side():
+    """Each 3412empty pair of S_<=6 rejects its sides moved by one unit or swapped.
+
+    Both keep l + m, which is all a check of the sum could see.  The 55
+    pairs give 56 moved and 54 swapped sides.
+    """
+    moved = swapped = 0
+    for n in range(4, 7):
+        for w, c in component_pairs(n):
+            if c.ctype != TYPE_3412_EMPTY:
+                continue
+            free = free_coordinates(c.v, w)
+            c.fit_cone(free)
+            moves = [(l, m) for l, m in ((c.l + 1, c.m - 1), (c.l - 1, c.m + 1)) if m >= 0 <= l]
+            swaps = [(c.m, c.l)] if c.l != c.m else []
+            for l, m in moves + swaps:
+                with pytest.raises(SliceStructureError):
+                    dataclasses.replace(c, l=l, m=m).fit_cone(free)
+            moved += len(moves)
+            swapped += len(swaps)
+    assert (moved, swapped) == (56, 54)
 
 
 def test_smooth_point_pair_is_rejected():
@@ -210,9 +248,10 @@ def test_type_signatures(n):
             assert e == 1
         else:
             assert c.ctype == TYPE_3412_EMPTY
-            assert c.l >= 1 and c.m is None  # aggregate 0 lands in the star type
-            assert d == c.l + 3
-            assert e == c.l + 1
+            assert c.l >= 0 and c.m >= 0
+            assert c.l + c.m >= 1  # l = m = 0 lands in the star type
+            assert d == c.l + c.m + 3
+            assert e == c.l + c.m + 1
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -237,7 +276,7 @@ def test_s5_component_census():
 
 def _assert_routes_agree(w):
     slow = [reference_classify(v, w, dim) for v, dim in component_counts(w)]
-    assert components_from_patterns(w) == slow, w.values
+    assert [route_key(c) for c in components_from_patterns(w)] == slow, w.values
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

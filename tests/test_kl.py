@@ -101,7 +101,7 @@ def test_closed_forms_per_type():
     assert rect.kl_closed_form() == (1, 1, 1)
     star = QuadricComponent(v=make_permutation([1, 3, 2, 4]), l=2, m=None)
     assert star.kl_closed_form() == (1, 0, 0, 1)
-    empty = TwoBlockComponent(v=make_permutation([1, 3, 2, 4]), l=4, m=None)
+    empty = TwoBlockComponent(v=make_permutation([1, 3, 2, 4]), l=4, m=2)
     assert empty.kl_closed_form() == (1, 1)
 
 

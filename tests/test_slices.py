@@ -173,8 +173,7 @@ def test_case3_slice_equations():
 def test_rectangle_minor_count():
     """Every 2 x 2 minor of the rank-one grid, each once.
 
-    The grid is (l+1) x (m+1) for 4231 and 2 x (l+2) for 3412empty, whose
-    ``l`` is the aggregate l + m.
+    The grid is (l+1) x (m+1) for 4231 and 2 x (l+m+2) for 3412empty.
     """
     two_block = 0
     for n in (4, 5):
@@ -182,7 +181,7 @@ def test_rectangle_minor_count():
             if c.ctype == "4231":
                 expected = (c.l + 1) * c.l // 2 * ((c.m + 1) * c.m // 2)
             elif c.ctype == "3412empty":
-                expected = (c.l + 2) * (c.l + 1) // 2
+                expected = (c.l + c.m + 2) * (c.l + c.m + 1) // 2
                 two_block += 1
             else:
                 continue
