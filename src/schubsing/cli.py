@@ -199,11 +199,10 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    progress = args.progress or args.n >= 7
     report = verify_all(
-        args.n, trials=args.trials, seed=args.seed, jobs=args.jobs, progress=progress
+        args.n, trials=args.trials, seed=args.seed, jobs=args.jobs, progress=args.n >= 7
     )
-    _print(report, pretty=args.pretty)
+    _print(report, pretty=False)
     return 0 if report["ok"] else 1
 
 
@@ -283,19 +282,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-all", help="cross-check every permutation of S_n"
     )
     p.add_argument(
-        "--n", type=int, default=6, help="symmetric group size (default 6)"
+        "--n",
+        type=int,
+        default=6,
+        help="symmetric group size (default 6); from 7 on, progress goes to stderr",
     )
     _add_trials_seed(p)
     p.add_argument(
         "--jobs", type=_job_count, default=1, help="worker processes (default 1)"
-    )
-    p.add_argument(
-        "--pretty", action="store_true", help="indent the JSON report"
-    )
-    p.add_argument(
-        "--progress",
-        action="store_true",
-        help="print progress to stderr (always on for n >= 7)",
     )
     p.set_defaults(func=cmd_verify_all)
 

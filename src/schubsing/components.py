@@ -417,41 +417,33 @@ class TwoBlockComponent(Component):
                 f"3412empty slice of {v.values}: expected two row groups, "
                 f"got {len(colsets)}"
             )
-        groups = []
-        for colset in sorted(colsets, key=sorted):
-            rows = sorted(j for j, cols in row_cols.items() if cols == colset)
-            groups.append((rows, sorted(colset)))
-
-        def try_orientation(a_grp, b_grp) -> _Grid | None:
-            rows_a, cols_a = a_grp
-            rows_b, cols_b = b_grp
-            if len(cols_a) != 2 or len(rows_b) != 2:
-                return None
-            if set(cols_a) & set(cols_b):
-                return None
-            if {v(r) for r in rows_b} != set(cols_a):
-                return None
-            if (len(rows_a) - 1, len(cols_b) - 1) != (self.l, self.m):
-                return None
-            # A 2-row grid: column i of block A holds cells (i, v(r1)) and
-            # (i, v(r2)); column k of block B holds -(r2, k) and (r1, k).
-            r1, r2 = rows_b
-            cells = [
-                [(1, at[i, v(r1)]) for i in rows_a] + [(-1, at[r2, k]) for k in cols_b],
-                [(1, at[i, v(r2)]) for i in rows_a] + [(1, at[r1, k]) for k in cols_b],
-            ]
-            split = len(rows_a)
-            return _Grid(cells, [range(split), range(split, split + len(cols_b))], self.codim)
-
-        cone = try_orientation(groups[0], groups[1]) or try_orientation(
-            groups[1], groups[0]
+        # Block A is l + 1 rows, each free in the columns v(r1), v(r2) of the
+        # two rows r1 < r2 of block B, which are free in m + 1 other columns.
+        # A is the group whose columns sort first; the other way round raises.
+        (rows_a, cols_a), (rows_b, cols_b) = (
+            (sorted(j for j, cols in row_cols.items() if cols == colset), sorted(colset))
+            for colset in sorted(colsets, key=sorted)
         )
-        if cone is None:
+        if (
+            len(cols_a) != 2
+            or len(rows_b) != 2
+            or set(cols_a) & set(cols_b)
+            or {v(r) for r in rows_b} != set(cols_a)
+            or (len(rows_a) - 1, len(cols_b) - 1) != (self.l, self.m)
+        ):
             raise SliceStructureError(
                 f"3412empty slice of {v.values}: free coordinates do not form "
                 f"rank-one blocks matched by v"
             )
-        return cone
+        # A 2-row grid: column i of block A holds cells (i, v(r1)) and
+        # (i, v(r2)); column k of block B holds -(r2, k) and (r1, k).
+        r1, r2 = rows_b
+        cells = [
+            [(1, at[i, v(r1)]) for i in rows_a] + [(-1, at[r2, k]) for k in cols_b],
+            [(1, at[i, v(r2)]) for i in rows_a] + [(1, at[r1, k]) for k in cols_b],
+        ]
+        split = len(rows_a)
+        return _Grid(cells, [range(split), range(split, split + len(cols_b))], self.codim)
 
 
 def classify_component(v: Permutation, w: Permutation) -> Component:

@@ -19,9 +19,9 @@ The group owns the coset rule: ``SymmetricGroup.coset_tops`` reads the
 tops below w off w's interval mask and the left descents of every v, the
 same tops the component oracle counts tangent spaces at.  The lift reads
 the descents and s.v from arrays the group builds on first use
-(``SymmetricGroup.descents`` and ``SymmetricGroup.lmul``, its only
-multiplication table); this module indexes them by permutation and knows
-nothing of their layout.
+(``SymmetricGroup.descents``, one byte per v, and ``SymmetricGroup.lmul``,
+its only multiplication table, one column per s_a); this module reads
+``descents[v]`` and ``lmul[a - 1][v]`` and no other layout.
 
 Writing s for the smallest left descent of w, every stored v has s.v < v,
 so one rule gives each entry:
@@ -108,10 +108,10 @@ def _intern(poly: KLPoly) -> int:
 def _lookup(group: SymmetricGroup, table: _Table, vi: int) -> KLPoly:
     """P(v, w) from the table of w: v lifted to its coset top, which is stored iff v <= w."""
     tops, ids, descents = table
-    sets, lmul, stride = group.descents, group.lmul, group.n - 1
+    sets, lmul = group.descents, group.lmul
     while missing := descents & ~sets[vi]:
         # Lift by s_a for the smallest left descent a of w with s_a.v > v.
-        vi = lmul[vi * stride + (missing & -missing).bit_length() - 1]
+        vi = lmul[(missing & -missing).bit_length() - 1][vi]
     k = bisect_left(tops, vi)
     return _polys[ids[k]] if k < len(tops) and tops[k] == vi else ()
 
@@ -137,8 +137,8 @@ def _mu_support(group: SymmetricGroup, yi: int) -> tuple[list[int], list[int]]:
     Not memoized: each call is one scan of y's table.
     """
     tops, ids, descents = _kl_table(group, yi)
-    lengths, ly, stride = group.lengths, group.lengths[yi], group.n - 1
-    s_y = [group.lmul[yi * stride + a] for a in range(stride) if descents >> a & 1]
+    lengths, ly = group.lengths, group.lengths[yi]
+    s_y = [column[yi] for a, column in enumerate(group.lmul) if descents >> a & 1]
     # deg P(z, y) = (ly - lz - 1) / 2 exactly when the polynomial has (ly - lz + 1) / 2 terms.
     full = [k for k, zi in enumerate(tops) if 2 * len(_polys[ids[k]]) == ly - lengths[zi] + 1]
     return [tops[k] for k in full] + s_y, [_polys[ids[k]][-1] for k in full] + [1] * len(s_y)
@@ -166,8 +166,8 @@ def _kl_table(group: SymmetricGroup, wi: int) -> _Table:
 
 def _entries(group: SymmetricGroup, wi: int, tops: array, col: int) -> array:
     """The id of P(v, w) for each top v of w, by the recursion along s = s_a, col = a - 1."""
-    lmul, stride, lengths = group.lmul, group.n - 1, group.lengths
-    swi, lw = lmul[wi * stride + col], lengths[wi]
+    column, lengths = group.lmul[col], group.lengths
+    swi, lw = column[wi], lengths[wi]
     # The correction sum ranges over z < s.w with s.z < z and mu(z, s.w) != 0.
     corrections: dict[int, list[int]] = {}
     for zi, mu in zip(*_mu_support(group, swi)):
@@ -181,7 +181,7 @@ def _entries(group: SymmetricGroup, wi: int, tops: array, col: int) -> array:
     sub = _kl_table(group, swi)
     ids = array("i")
     for k, vi in enumerate(tops):
-        acc = list(_lookup(group, sub, lmul[vi * stride + col]))
+        acc = list(_lookup(group, sub, column[vi]))
         _add_shifted(acc, _lookup(group, sub, vi), 1)
         _add_shifted(acc, corrections.get(k, ()), 0)
         ids.append(_intern(_strip(acc)))

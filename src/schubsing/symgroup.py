@@ -5,14 +5,15 @@ domination test; no poset data structure and no rank table is kept.  For
 every group we store, once per process:
 
 * one bitset per interior cell (p, q) and threshold k: bit v is set iff
-  r_v(p, q) >= k, with v in lexicographic order of one-line notation,
+  r_v(p, q) >= k, with v in lexicographic order of one-line notation and
+  bit v counted from the top (v = 0 is the most significant of n! bits),
 * the Coxeter lengths of all n! permutations,
 
 and build on first use, for the KL recursion and the tangent counts:
 
-* the index of s_a.v for every v and simple reflection s_a (``lmul``), the
-  group's only multiplication table: v.t for a transposition t is a walk
-  along it,
+* the index of s_a.v for every v and simple reflection s_a (``lmul``),
+  one array column per s_a: the group's only multiplication table, and
+  v.t for a transposition t is a walk along it,
 * the left descents of every v (``descents``), from which ``coset_tops``
   reads the tops of a w's left descent cosets, the only points the KL
   tables store and the component oracle counts at.
@@ -30,7 +31,8 @@ the builders go up from S_1 one n at a time:
 * lengths: S_{n-1}'s lengths plus a in block a;
 * s_a.v relabels the tail by s_a or s_{a-1} (S_{n-1}'s column plus the
   block offset), or, when v(1) is a or a + 1, moves v to the neighbouring
-  block at the same offset;
+  block at the same offset; each column is its n raised blocks appended
+  in order;
 * left descents: s_a.v < v iff a + 1 comes before a in v.  In block a,
   s_a is a descent and s_{a+1} is not; the tail's descent s_b is v's
   descent s_b for b < a and s_{b+1} for b > a.
@@ -39,8 +41,19 @@ No permutation is stored: ``index_of`` computes the lexicographic rank
 from v itself, and ``perm`` unranks an index.
 
 A lower-interval mask is the AND of the bitsets that w's own rank table
-selects, one per cell.  It is not cached: each caller builds the mask it
-needs and keeps it as long as it uses it.
+selects, one per cell: an int laid out like the bitsets.  It is not
+cached: each caller builds the mask it needs and keeps it as long as it
+uses it.  This module owns the layouts of masks and columns; callers
+hand masks back to it:
+
+* ``indices`` reads the set bits of a mask out as ascending indices, for
+  ``interval``, ``coset_tops`` and any caller that needs the points;
+* ``coset_tops`` is one AND of the mask with the bitset of the v that have
+  every left descent of a given set;
+* ``maximal`` keeps the Bruhat-maximal points of a set, one OR of a kept
+  point's mask at a time;
+* ``tangent_counts`` is the one reader that indexes a mask by v, so it
+  alone turns the mask into n! bytes, once per call.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, compress
 from math import factorial
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .perms import Permutation
 
@@ -124,24 +137,23 @@ def _block_lengths(prev: bytes, n: int) -> bytes:
     return b"".join(prev.translate(_PLUS[a]) for a in range(n))
 
 
-def _block_lmul(prev: array, n: int) -> array:
-    """s_a.v indices of S_n from those of S_{n-1}, written one block of one column at a time."""
-    block, stride, prev_stride = factorial(n - 1), n - 1, n - 2
+def _block_lmul(prev: tuple, n: int) -> tuple:
+    """s_a.v columns of S_n from those of S_{n-1}, each column appended one block at a time."""
+    block = factorial(n - 1)
     ident = array("i", range(block))
-    lmul = array("i", [0]) * (block * n * stride)
+    cols = []
     for a in range(1, n):
+        col = array("i")
         for b in range(n):
             # Block b holds the v with v(1) = b + 1.
             if b == a - 1:
-                raised = _raised(ident, (b + 1) * block)
+                col.frombytes(_raised(ident, (b + 1) * block))
             elif b == a:
-                raised = _raised(ident, (b - 1) * block)
+                col.frombytes(_raised(ident, (b - 1) * block))
             else:
-                tail = a - 1 if b < a else a
-                raised = _raised(prev[tail - 1 :: prev_stride], b * block)
-            start = b * block * stride + a - 1
-            lmul[start : start + block * stride : stride] = array("i", raised)
-    return lmul
+                col.frombytes(_raised(prev[a - 2 if b < a else a - 1], b * block))
+        cols.append(col)
+    return tuple(cols)
 
 
 def _block_descents(prev: bytes, n: int) -> bytes:
@@ -170,13 +182,14 @@ class SymmetricGroup:
         self._bitsets = reduce(_block_bitsets, range(2, n + 1), ())
 
     @cached_property
-    def lmul(self) -> array:
-        """Left multiplication: ``lmul[v * (n - 1) + a - 1]`` is the index of s_a.v.
+    def lmul(self) -> tuple[array, ...]:
+        """Left multiplication: ``lmul[a - 1][v]`` is the index of s_a.v.
 
-        s_a.v swaps the values a and a + 1 in one-line notation.  Built on
-        first use: the KL recursion and ``tangent_counts`` read it.
+        One column per simple reflection s_a; s_a.v swaps the values a and
+        a + 1 in one-line notation.  Built on first use: the KL recursion and
+        ``tangent_counts`` read it.
         """
-        return reduce(_block_lmul, range(2, self.n + 1), array("i"))
+        return reduce(_block_lmul, range(2, self.n + 1), ())
 
     @cached_property
     def descents(self) -> bytes:
@@ -212,12 +225,12 @@ class SymmetricGroup:
             values.append(rest.pop(digit))
         return Permutation(tuple(values))
 
-    def lower_mask(self, wi: int) -> bytes:
-        """Byte mask over all of S_n: mask[v] = 1 iff v <= w in Bruhat order.
+    def lower_mask(self, wi: int) -> int:
+        """Bitset over all of S_n: bit v, counted from the top, is set iff v <= w in Bruhat order.
 
         >>> group = SymmetricGroup(3)
-        >>> list(group.lower_mask(group.index_of((2, 3, 1))))
-        [1, 1, 1, 1, 0, 0]
+        >>> format(group.lower_mask(group.index_of((2, 3, 1))), "06b")
+        '111100'
         """
         # After row p of w, seen[x - 1] = 1 iff x is among w(1), ..., w(p),
         # so accumulate(seen) runs through r_w(p, 1), r_w(p, 2), ...
@@ -227,17 +240,24 @@ class SymmetricGroup:
             seen[x - 1] = 1
             for bits, k in zip(row, accumulate(seen)):
                 acc &= bits[k]
-        return format(acc, f"0{self.order}b").encode().translate(_BIT_BYTES)
+        return acc
+
+    def _bytes(self, mask: int) -> bytes:
+        """``mask`` as n! bytes, byte v 1 iff bit v is set."""
+        return format(mask, f"0{self.order}b").encode().translate(_BIT_BYTES)
+
+    def indices(self, mask: int) -> array:
+        """The v whose bit is set in ``mask``, ascending."""
+        return array("i", compress(range(self.order), self._bytes(mask)))
 
     def interval(self, wi: int) -> array:
         """Indices of {v : v <= w}, ascending.
 
         Nothing in the package calls it; the benchmark in ``perfbench/`` does.
         """
-        mask = self.lower_mask(wi)
-        return array("i", compress(range(len(mask)), mask))
+        return self.indices(self.lower_mask(wi))
 
-    def coset_tops(self, mask: bytes, descents: int) -> array:
+    def coset_tops(self, mask: int, descents: int) -> array:
         """Indices of the v in ``mask`` that have every left descent in ``descents``, ascending.
 
         ``descents`` is a bitset, bit a - 1 for s_a.  With w's interval mask
@@ -245,32 +265,44 @@ class SymmetricGroup:
         W_D v below w: s.v <= w iff v <= w for each s in D, so each coset
         meets the interval whole or not at all.
         """
-        has_all = bytes(map(descents.__eq__, map(descents.__and__, range(256))))
-        selected = self.descents.translate(has_all)
-        below = int.from_bytes(mask, "big") & int.from_bytes(selected, "big")
-        return array("i", compress(range(self.order), below.to_bytes(self.order, "big")))
+        # has_all[x] is the digit "1" iff x has every bit of descents.
+        has_all = bytes(48 + (x & descents == descents) for x in range(256))
+        return self.indices(mask & int(self.descents.translate(has_all), 2))
 
-    def tangent_counts(self, mask: bytes, cands: Sequence[int]) -> array:
+    def maximal(self, indices: Iterable[int]) -> list[int]:
+        """The Bruhat-maximal v among ``indices``, ascending.
+
+        Scanned by decreasing length: a v is maximal iff it is below no
+        already-kept maximal point, that is, outside the union of their masks.
+        """
+        kept: list[int] = []
+        covered, top = 0, self.order - 1
+        for vi in sorted(indices, key=lambda vi: (-self.lengths[vi], vi)):
+            if not covered >> top - vi & 1:
+                kept.append(vi)
+                covered |= self.lower_mask(vi)
+        return sorted(kept)
+
+    def tangent_counts(self, mask: int, cands: Sequence[int]) -> array:
         """For each candidate v: #{transpositions t : v.t <= w}.
 
         ``mask`` is ``lower_mask(wi)`` of w, which the caller already holds.
         v.t swaps two values a < b of v, so v.t = (a b).v, and
         (a b) = s_a s_{a+1} ... s_{b-1} ... s_{a+1} s_a.  The count walks
-        each word along ``lmul``, all candidates one letter at a time: up
-        through s_a, ..., s_{b-1}, a walk every b with the same a shares,
-        then down through s_{b-2}, ..., s_a.
+        each word along the columns of ``lmul``, all candidates one letter at
+        a time: up through s_a, ..., s_{b-1}, a walk every b with the same a
+        shares, then down through s_{b-2}, ..., s_a.  It reads the mask as
+        bytes, built once per call.
         """
-        stride = self.n - 1
-        # cols[c][v] is the index of s_{c+1}.v, a view into lmul.
-        cols = [memoryview(self.lmul)[c::stride] for c in range(stride)]
+        cols, below = self.lmul, self._bytes(mask)
         counts = [0] * len(cands)
-        for a in range(stride):
+        for a in range(len(cols)):
             up = cands
-            for b in range(a, stride):
+            for b in range(a, len(cols)):
                 up = down = list(map(cols[b].__getitem__, up))
                 for c in range(b - 1, a - 1, -1):
                     down = list(map(cols[c].__getitem__, down))
-                counts = list(map(add, counts, map(mask.__getitem__, down)))
+                counts = list(map(add, counts, map(below.__getitem__, down)))
         return array("i", counts)
 
 

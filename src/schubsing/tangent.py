@@ -18,15 +18,15 @@ left-multiplication table.  m(w, v) is constant on each left coset
 W_D v, D the left descents of w (Billey-Lakshmibai, *Singular Loci of
 Schubert Varieties*, 2000), so ``component_counts`` counts only at the
 coset tops the group reads off (``SymmetricGroup.coset_tops``, the same
-tops the KL tables store), and each kept maximal point's own mask rules
-out the points below it.  ``singular_points`` counts at every v <= w.
-Points sort by length, then by group index, which is one-line order.
+tops the KL tables store), and ``SymmetricGroup.maximal`` keeps the
+Bruhat-maximal singular tops.  ``singular_points`` counts at every v <= w.
+This module only decides which points are singular: it holds masks as the
+group gives them and never reads their layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .perms import Permutation, all_transpositions, bruhat_leq, compose, length
 from .symgroup import symmetric_group
@@ -74,7 +74,7 @@ def singular_points(w: Permutation) -> set[Permutation]:
     group = symmetric_group(w.n)
     wi = group.index_of(w.values)
     mask = group.lower_mask(wi)
-    cands = list(compress(range(group.order), mask))
+    cands = group.indices(mask)
     counts = group.tangent_counts(mask, cands)
     lw = group.lengths[wi]
     return {group.perm(vi) for vi, count in zip(cands, counts) if count > lw}
@@ -96,17 +96,7 @@ def component_counts(w: Permutation) -> list[tuple[Permutation, int]]:
     counts = group.tangent_counts(mask, tops)
     lw = group.lengths[wi]
     singular = {vi: count for vi, count in zip(tops, counts) if count > lw}
-    # Scan by decreasing length; a point is maximal iff it is not below any
-    # already-kept maximal point, that is, outside the union of their masks.
-    kept: list[int] = []
-    covered = bytes(group.order)
-    for vi in sorted(singular, key=lambda vi: (-group.lengths[vi], vi)):
-        if covered[vi]:
-            continue
-        kept.append(vi)
-        union = int.from_bytes(covered, "big") | int.from_bytes(group.lower_mask(vi), "big")
-        covered = union.to_bytes(group.order, "big")
-    return [(group.perm(vi), singular[vi]) for vi in sorted(kept)]
+    return [(group.perm(vi), singular[vi]) for vi in group.maximal(singular)]
 
 
 def singular_components(w: Permutation) -> set[Permutation]:

@@ -359,11 +359,24 @@ def test_verify_all_deterministic(capsys):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_verify_all_parallel_matches_serial(capsys, n):
-    argv = ("verify-all", "--n", str(n), "--trials", "5", "--progress")
+    """The same report through the CLI, and the same progress lines from ``verify_all``."""
+    argv = ("verify-all", "--n", str(n), "--trials", "5")
     serial = run_cli(capsys, *argv)
-    parallel = run_cli(capsys, *argv, "--jobs", "2")
-    assert serial == parallel
-    assert serial[2].count("permutations\n") == min(40, math.factorial(n))
+    assert serial[0] == 0
+    assert run_cli(capsys, *argv, "--jobs", "2") == serial
+    progress = []
+    for jobs in (1, 2):
+        schubsing.sweep.verify_all(n, trials=5, jobs=jobs, progress=True)
+        progress.append(capsys.readouterr().err)
+    assert progress[0] == progress[1]
+    assert progress[0].count("permutations\n") == min(40, math.factorial(n))
+
+
+@pytest.mark.parametrize("flag", ["--pretty", "--progress"])
+def test_verify_all_has_no_output_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--n", "3", flag])
+    assert exc.value.code == 2
 
 
 def test_slice_output_deterministic(capsys):

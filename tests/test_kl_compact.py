@@ -3,8 +3,8 @@
 ``reference_table`` below is that earlier implementation: one
 ``dict[int, tuple]`` per w over the whole interval [e, w], the descent read
 off w's one-line notation, s.v found by rebuilding the one-line tuple and
-looking it up in the group's index, and v <= z tested with z's interval
-mask.  The compact memo (interned polynomials, one id per top of a left
+looking it up in the group's index, and v <= z tested with the binary
+digits of z's interval mask.  The compact memo (interned polynomials, one id per top of a left
 descent coset of w, s.v, the descents and the lift from
 ``SymmetricGroup.lmul``, v <= z by search in z's table) must give the same
 polynomial for every pair, and the same mu-support for every y.
@@ -56,7 +56,7 @@ def reference_table(group, wi, memo, mu_memo):
     lengths = group.lengths
     lw = lengths[wi]
     mus = [
-        (zi, mu, group.lower_mask(zi))
+        (zi, mu, format(group.lower_mask(zi), f"0{group.order}b"))
         for zi, mu in sorted(reference_mu_support(group, swi, memo, mu_memo).items())
         if lengths[group.index_of(_swap_values(group.perm(zi).values, a))] < lengths[zi]
     ]
@@ -68,7 +68,7 @@ def reference_table(group, wi, memo, mu_memo):
         _add_shifted(acc, sub.get(svi, ()), 1 - c)
         _add_shifted(acc, sub.get(vi, ()), c)
         for zi, mu, below_z in mus:
-            if not below_z[vi]:
+            if below_z[vi] != "1":
                 continue
             pvz = reference_table(group, zi, memo, mu_memo)[vi] if zi != vi else (1,)
             _add_shifted(acc, pvz, (lw - lengths[zi]) // 2, -mu)
@@ -145,12 +145,11 @@ def test_mu_support_matches_full_scan(n, fresh_memo):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_left_multiplication_table(n):
     group = symmetric_group(n)
-    stride = n - 1
-    assert len(group.lmul) == group.order * stride
+    assert len(group.lmul) == n - 1
+    assert all(len(column) == group.order for column in group.lmul)
     for vi, values in enumerate(permutations(range(1, n + 1))):
         for a in range(1, n):
-            expected = group.index_of(_swap_values(values, a))
-            assert group.lmul[vi * stride + a - 1] == expected
+            assert group.lmul[a - 1][vi] == group.index_of(_swap_values(values, a))
 
 
 def test_group_builds_each_array_on_first_use(monkeypatch, fresh_memo):

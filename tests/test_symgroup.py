@@ -3,21 +3,24 @@
 The ``reference_*`` builders below are one-permutation-at-a-time
 constructions of the group's arrays, and of the rank tables its interval
 bitsets are read from.  The block construction in ``schubsing.symgroup``
-must reproduce them byte for byte.  Coset tops and tangent counts are
-checked against references read off one-line notation.
+must reproduce them byte for byte.  Coset tops, tangent counts and maximal
+points are checked against references read off one-line notation or
+``bruhat_leq``.  A mask is an int, bit v counted from the top; the tests
+read it as a string of binary digits, character v for v.
 """
 
+import ast
 import inspect
 import os
+import random
 import sys
-import textwrap
 import tracemalloc
 from array import array
 from itertools import combinations, permutations
 
 import pytest
 
-from schubsing import symgroup
+from schubsing import kl, symgroup, tangent
 from schubsing.perms import Permutation, bruhat_leq, length
 from schubsing.symgroup import MAX_N, SymmetricGroup, symmetric_group
 from schubsing.tangent import component_counts, tangent_dimension
@@ -72,8 +75,13 @@ def _swap_values(values, a):
 
 
 def reference_lmul(n, perms, index):
-    """Index of s_a.v for every v and a = 1..n-1."""
-    return array("i", (index[_swap_values(p, a)] for p in perms for a in range(1, n)))
+    """Column a - 1 for a = 1..n-1: the index of s_a.v for every v."""
+    return tuple(array("i", (index[_swap_values(p, a)] for p in perms)) for a in range(1, n))
+
+
+def _digits(group, mask):
+    """``mask`` as n! binary digits, character v for bit v."""
+    return format(mask, f"0{group.order}b")
 
 
 def _assert_matches_references(n):
@@ -86,8 +94,8 @@ def _assert_matches_references(n):
     assert bitsets == reference_bitsets(n, perms)
     expected = reference_lengths(n, perms)
     assert group.lengths.typecode == expected.typecode and group.lengths == expected
-    expected = reference_lmul(n, perms, index)
-    assert group.lmul.typecode == expected.typecode and group.lmul == expected
+    assert type(group.lmul) is tuple and all(col.typecode == "i" for col in group.lmul)
+    assert group.lmul == reference_lmul(n, perms, index)
     assert type(group.descents) is bytes
     assert group.descents == reference_descents(n, perms)
     assert all(group.index_of(p) == i for p, i in index.items())
@@ -110,14 +118,17 @@ def _bitset_bytes(group):
     return sum(sys.getsizeof(b) for row in group._bitsets for bits in row for b in bits)
 
 
+def _lmul_bytes(group):
+    return sum(len(col) * col.itemsize for col in group.lmul)
+
+
 def test_block_build_keeps_transients_small():
     """The S_8 build never holds more than a few columns beyond what it keeps.
 
     The bitsets of S_7 and the partly built bitset are all the group build
-    holds besides its result.  Each block of each lmul column is written
-    into its array as soon as it is built: joining a whole column first
-    would hold about half an array, and keeping every column until the end
-    a whole one.
+    holds besides its result.  Each lmul column grows by appending its
+    blocks one at a time, so no block is held twice: in a joined column or
+    in a preallocated array written with strides.
     """
     tracemalloc.start()
     try:
@@ -127,7 +138,7 @@ def test_block_build_keeps_transients_small():
         tracemalloc.reset_peak()
         group.lmul
         kept, peak = tracemalloc.get_traced_memory()
-        assert peak - kept < len(group.lmul) * group.lmul.itemsize / 3
+        assert peak - kept < _lmul_bytes(group) / 3
     finally:
         tracemalloc.stop()
 
@@ -155,7 +166,7 @@ def test_group_keeps_only_its_arrays(monkeypatch):
         tracemalloc.stop()
     assert set(vars(group)) == _BASE | {"lmul", "descents"}
     arrays = _bitset_bytes(group) + len(group.lengths) + len(group.descents)
-    assert kept - arrays - len(group.lmul) * group.lmul.itemsize < 1_000_000
+    assert kept - arrays - _lmul_bytes(group) < 1_000_000
 
 
 @pytest.mark.parametrize("values", [(5, 6, 7, 8, 1, 2, 3, 4), (3, 6, 8, 1, 7, 4, 2, 5)])
@@ -174,7 +185,7 @@ def test_component_counts_peak_stays_near_lmul(monkeypatch, values):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < len(group.lmul) * group.lmul.itemsize + 1_000_000
+    assert peak < _lmul_bytes(group) + 1_000_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -183,8 +194,10 @@ def test_mask_agrees_with_bruhat_leq(n):
     perms = [Permutation(values) for values in permutations(range(1, n + 1))]
     for wi, w in enumerate(perms):
         mask = group.lower_mask(wi)
-        assert type(mask) is bytes and len(mask) == len(perms)
-        assert list(mask) == [int(bruhat_leq(v, w)) for v in perms], w.values
+        assert type(mask) is int
+        below = [vi for vi, v in enumerate(perms) if bruhat_leq(v, w)]
+        assert _digits(group, mask) == "".join("01"[vi in below] for vi in range(len(perms)))
+        assert list(group.indices(mask)) == below, w.values
 
 
 def test_masks_reject_ranks_outside_the_group():
@@ -197,10 +210,14 @@ def test_masks_reject_ranks_outside_the_group():
             group.interval(wi)
 
 
-def reference_coset_tops(perms, mask, w):
-    """The v with mask[v] set whose left descents include all of w's, off one-line notation."""
+def reference_coset_tops(digits, perms, w):
+    """The v with digit v set whose left descents include all of w's, off one-line notation."""
     descents = set(_left_descents(w))
-    return [vi for vi, v in enumerate(perms) if mask[vi] and descents <= set(_left_descents(v))]
+    return [
+        vi
+        for vi, v in enumerate(perms)
+        if digits[vi] == "1" and descents <= set(_left_descents(v))
+    ]
 
 
 def _left_descents(values):
@@ -208,15 +225,23 @@ def _left_descents(values):
     return [a for a in range(1, len(values)) if values.index(a + 1) < values.index(a)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_coset_tops_match_one_line_reference(n):
+def _coset_top_mismatches(n):
+    """The w of S_n whose coset tops differ from the one-line reference."""
     group = symmetric_group(n)
     perms = list(permutations(range(1, n + 1)))
+    bad = []
     for wi, w in enumerate(perms):
         mask = group.lower_mask(wi)
         tops = group.coset_tops(mask, group.descents[wi])
         assert tops.typecode == "i"
-        assert list(tops) == reference_coset_tops(perms, mask, w), w
+        if list(tops) != reference_coset_tops(_digits(group, mask), perms, w):
+            bad.append(w)
+    return bad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coset_tops_match_one_line_reference(n):
+    assert _coset_top_mismatches(n) == []
 
 
 def _swap_count_mismatches(n):
@@ -233,9 +258,10 @@ def _swap_count_mismatches(n):
     bad = []
     for wi in range(group.order):
         mask = group.lower_mask(wi)
+        digits = _digits(group, mask)
         counts = group.tangent_counts(mask, range(group.order))
         for vi, count in enumerate(counts):
-            if count != sum(mask[ui] for ui in swapped[vi]):
+            if count != sum(digits[ui] == "1" for ui in swapped[vi]):
                 bad.append((wi, vi))
     return bad
 
@@ -246,22 +272,72 @@ def test_tangent_counts_match_swapped_indices(n):
     assert _swap_count_mismatches(n) == []
 
 
-def _mutant(func, old, new):
-    """``func`` recompiled from its source with ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(old) == 1, old
-    namespace = dict(func.__globals__)
-    exec(source.replace(old, new), namespace)
-    return namespace[func.__name__]
-
-
-def test_a_walk_missing_a_letter_is_caught(monkeypatch):
+def test_a_walk_missing_a_letter_is_caught(mutate):
     """Dropping the last s_a of each downward walk breaks the swap comparison."""
-    mutant = _mutant(
-        SymmetricGroup.tangent_counts, "range(b - 1, a - 1, -1)", "range(b - 1, a, -1)"
-    )
-    monkeypatch.setattr(SymmetricGroup, "tangent_counts", mutant)
+    mutate(SymmetricGroup, "tangent_counts", "range(b - 1, a - 1, -1)", "range(b - 1, a, -1)")
     assert _swap_count_mismatches(4)
+
+
+def test_a_top_rule_ignoring_the_mask_is_caught(mutate):
+    """Tops read off the descents alone, without the AND with w's mask, break the reference."""
+    mutate(SymmetricGroup, "coset_tops", "mask & ", "")
+    assert _coset_top_mismatches(4)
+
+
+def reference_maximal(perms, indices):
+    """The v among ``indices`` below no other of them, ascending, by ``bruhat_leq``."""
+    return [
+        vi
+        for vi in sorted(indices)
+        if not any(ui != vi and bruhat_leq(perms[vi], perms[ui]) for ui in indices)
+    ]
+
+
+def _maximal_mismatches(n):
+    """(w, subset) of S_n where ``maximal`` differs from the reference.
+
+    For every w, a seeded subset of at most 24 points of its interval.
+    """
+    group = symmetric_group(n)
+    perms = [group.perm(vi) for vi in range(group.order)]
+    rng = random.Random(n)
+    bad = []
+    for wi in range(group.order):
+        interval = list(group.interval(wi))
+        subset = rng.sample(interval, rng.randint(0, min(24, len(interval))))
+        if group.maximal(subset) != reference_maximal(perms, subset):
+            bad.append((wi, subset))
+    return bad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_maximal_matches_bruhat_leq_filter(n):
+    assert _maximal_mismatches(n) == []
+
+
+def test_a_maximal_scan_that_never_covers_is_caught(mutate):
+    """Never adding a kept point's mask to the union keeps points below others."""
+    mutate(SymmetricGroup, "maximal", "covered |= self.lower_mask(vi)", "pass")
+    assert _maximal_mismatches(4)
+
+
+def test_only_the_group_reads_mask_layouts():
+    """kl and tangent take masks and lmul columns as the group gives them.
+
+    No byte form of a mask and no strided view of a table is built outside
+    ``schubsing.symgroup``: neither module calls a conversion.
+    """
+    forbidden = {"from_bytes", "to_bytes", "compress", "memoryview"}
+    for module in (kl, tangent):
+        assert not set(_called_names(module)) & forbidden, module.__name__
+
+
+def _called_names(module):
+    """The name of each function or method that ``module``'s source calls."""
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def test_tangent_counts_agree_with_tangent_dimension():

@@ -8,9 +8,13 @@ side pair (l, m).  kappa reverses positions and values, so it keeps 4231's
 sorted (l, m) and 3412*'s l, and swaps 3412empty's l (maxima left of the
 square) with m (minima right of it).
 
+Both symmetries also keep Kazhdan-Lusztig polynomials, P(v, w) =
+P(iota v, iota w) = P(kappa v, kappa w), and carry a component's slice onto
+the image's: the same number of free coordinates, fitted by the same cone.
+
 These checks see only errors that break the symmetry: they add to the
-exhaustive oracles and replace none.  They need no symmetric group, so the
-pattern-route check also runs on seeded w at n = 12, 16 and 20.
+exhaustive oracles and replace none.  The pattern-route check needs no
+symmetric group, so it also runs on seeded w at n = 12, 16 and 20.
 """
 
 import dataclasses
@@ -21,7 +25,10 @@ import pytest
 
 from schubsing import components
 from schubsing.components import TYPE_3412_EMPTY, TYPE_3412_STAR, TYPE_4231
+from schubsing.kl import kl_recursion
 from schubsing.perms import Permutation, inverse
+from schubsing.slices import free_coordinates
+from schubsing.symgroup import symmetric_group
 from schubsing.tangent import component_counts
 
 
@@ -108,6 +115,57 @@ def test_component_counts_commute_with_both_symmetries(n):
         for _, sym, _ in SYMMETRIES:
             expected = sorted((sym(v).values, dim) for v, dim in mine)
             assert [(v.values, dim) for v, dim in component_counts(sym(w))] == expected
+
+
+def _kl_mismatches(pairs):
+    """The (v, w) among ``pairs`` whose polynomial differs from that of an image pair."""
+    return [
+        (v.values, w.values)
+        for v, w in pairs
+        if any(kl_recursion(sym(v), sym(w)) != kl_recursion(v, w) for _, sym, _ in SYMMETRIES)
+    ]
+
+
+def test_kl_recursion_is_invariant_on_every_pair_of_s5():
+    """All 4,017 pairs v <= w of S_1..S_5."""
+    pairs = []
+    for n in range(1, 6):
+        group = symmetric_group(n)
+        for wi in range(group.order):
+            pairs += [(group.perm(vi), group.perm(wi)) for vi in group.interval(wi)]
+    assert len(pairs) == 4017
+    assert _kl_mismatches(pairs) == []
+
+
+def test_kl_recursion_is_invariant_on_the_component_pairs_of_s6():
+    pairs = [(c.v, w) for w in _all_perms(6) for c in components.components_from_patterns(w)]
+    assert len(pairs) == 613
+    assert _kl_mismatches(pairs) == []
+
+
+def test_images_of_a_component_keep_its_family_and_slice_shape():
+    """Each image pair is a component of the same family and the same slice shape.
+
+    On all 656 component pairs of S_2..S_6: as many free coordinates, fitted
+    by the same cone.
+    """
+    route = components.components_from_patterns
+    pairs = 0
+    for n in range(2, 7):
+        for w in _all_perms(n):
+            mine = route(w)
+            for _, sym, _ in SYMMETRIES:
+                theirs = {c.v: c for c in route(sym(w))}
+                for c in mine:
+                    image = theirs[sym(c.v)]
+                    free = free_coordinates(c.v, w)
+                    image_free = free_coordinates(image.v, sym(w))
+                    assert image.ctype == c.ctype, (w.values, c.v.values)
+                    assert len(image_free) == len(free), (w.values, c.v.values)
+                    cones = type(image.fit_cone(image_free)), type(c.fit_cone(free))
+                    assert cones[0] is cones[1], (w.values, c.v.values)
+            pairs += len(mine)
+    assert pairs == 656
 
 
 # ---------------------------------------------------------------------------

@@ -131,17 +131,14 @@ def test_singular_points_form_lower_ideal(n):
         singular = [vi for vi, m in zip(interval, counts) if m > lw]
         if not singular:
             continue
+        # Masks count bit v from the top.
         nonsingular_mask = 0
         sing_set = set(singular)
         for vi in interval:
             if vi not in sing_set:
-                nonsingular_mask |= 1 << vi
+                nonsingular_mask |= 1 << group.order - 1 - vi
         for vi in singular:
-            below_bits = 0
-            for idx, byte in enumerate(group.lower_mask(vi)):
-                if byte:
-                    below_bits |= 1 << idx
-            assert below_bits & nonsingular_mask == 0, (group.perm(wi), group.perm(vi))
+            assert group.lower_mask(vi) & nonsingular_mask == 0, (group.perm(wi), group.perm(vi))
 
 
 def _covers(v):
@@ -197,4 +194,10 @@ def test_a_top_rule_demanding_a_missing_descent_is_caught(monkeypatch):
         return real(self, mask, descents | (lacking & -lacking))
 
     monkeypatch.setattr(SymmetricGroup, "coset_tops", demanding)
+    assert _route_mismatches(5)
+
+
+def test_a_maximal_scan_that_never_covers_is_caught(mutate):
+    """A ``maximal`` that never adds a kept point's mask keeps points below components of S_5."""
+    mutate(SymmetricGroup, "maximal", "covered |= self.lower_mask(vi)", "pass")
     assert _route_mismatches(5)
