@@ -31,9 +31,12 @@ builds its chart on first read in one pass, :func:`_chart`: a template (v's
 base rows, each cut after its last free column, and their free slots) and
 the live conditions, those some chart point can break (v = w has none).
 The minors, :func:`embed_point` and :func:`verify_slice` all read that one
-chart; the last tests every cone and off-cone point by filling the template
-up to the last row with a live condition: no :class:`FlagMatrix` and no
-rank table per point.
+chart.  The last tests every cone and off-cone point through a plan built
+once per model from the chart (:func:`_plan`): a fixed chart row is a unit
+row, so it lowers the caps it counts in and deletes its column, and only
+the rows with free coordinates are reduced, with no :class:`FlagMatrix`
+and no rank table per point.  :func:`_member` on all rows stays the
+kernel of :func:`in_schubert` and the oracle the tests hold the plan to.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from numbers import Rational
 from typing import Sequence
 
@@ -407,18 +410,98 @@ def _chart_rows(chart, assignment: Sequence[int]) -> list[list[int]]:
     return rows
 
 
+def _plan(chart) -> tuple | None:
+    """The steps :func:`_membership` runs per point, from a model's chart.
+
+    A row with no free slot is the unit row e_c, c = v(j) - 1.  Its lead c
+    is the same at every point, and quotienting the span by e_c deletes
+    column c.  So the rank after q of rows 1..p is the number of these
+    fixed leads after q plus the rank after q of the free rows with the
+    fixed columns deleted, and each live condition (q, cap) of row p is
+    tested on the free rows alone, its cap lowered by one for each fixed
+    lead after q.  A negative cap fails at every point: the plan is None.
+    A condition whose cap is at least the number of free rows that still
+    reach past q holds at every point and is dropped.
+
+    A row is left out when it changes no verdict: when it reaches past the
+    q of no condition kept at its row or after it, or when it is fixed and
+    no free row before it has a slot in its column (no stored pivot has an
+    entry there).  The conditions of a row left out are tested after the
+    step before it.  A step is (c, base, slots, conditions) for a free row
+    and (c, None, (), conditions) for a fixed one.
+    """
+    template, live = chart
+    deleted: list[int] = []  # the columns of the fixed rows so far
+    free: list[list[int]] = []  # the nonzero columns of each free row so far
+    conds, useful = [], []
+    for (base, slots), row_live in zip(template, live):
+        c = base.index(1)
+        if slots:
+            free.append([c] + [col for col, _ in slots])
+        else:
+            deleted.append(c)
+        useful.append(bool(slots) or any(c in cols for cols in free))
+        kept = []
+        if row_live:
+            reach = [max(col for col in cols if col not in deleted) for cols in free]
+            for q, cap in row_live:
+                cap -= sum(col >= q for col in deleted)
+                if cap < 0:
+                    return None
+                if cap < sum(r >= q for r in reach):
+                    kept.append((q, cap))
+        conds.append(kept)
+    # From the last row up: low is the least q of a kept condition at the
+    # row or after it, and pending holds the conditions of the rows left
+    # out after the row.
+    steps = []
+    low, pending = len(template), []
+    for (base, slots), kept, use in zip(reversed(template), reversed(conds), reversed(useful)):
+        low = min([low] + [q for q, _ in kept])
+        pending += kept
+        if use and len(base) - 1 >= low:
+            steps.append((base.index(1), base if slots else None, slots, tuple(pending)))
+            pending = []
+    return tuple(reversed(steps))
+
+
 def _membership(model: SliceModel):
     """Exact membership in X_w of the slice's chart points, as a predicate.
 
-    It reads the model's chart and live rank conditions, so a point costs
-    one int elimination of the rows up to the last live condition and no
-    :class:`FlagMatrix`.  Chart rows are independent, so leaving out the
-    conditions that always hold leaves every verdict as it is.
+    It runs the steps of :func:`_plan`, so a point costs one int elimination
+    of the free rows a live condition reads and no :class:`FlagMatrix`.  A
+    fixed row deletes its column: each stored pivot loses that entry, and
+    the pivot whose lead sat there is reduced again.  Chart rows are
+    independent, and so are the free rows once the fixed columns are
+    deleted, so no row falls in the span of the others.  :func:`_member`
+    on all rows and all of w's conditions gives every verdict this does.
     """
-    chart, live = model.chart
-    # Rows after the last live condition change no verdict.
-    chart = chart[: max((p for p, row in enumerate(live, 1) if row), default=0)]
-    return lambda assignment: _member(live, _chart_rows(chart, assignment))
+    plan = _plan(model.chart)
+    if plan is None:
+        return lambda assignment: False
+
+    def member(assignment: Sequence[int]) -> bool:
+        pivots: dict[int, list[int]] = {}
+        leads = 0  # bit c set iff a pivot's lead is in column c
+        for c, base, slots, conds in plan:
+            if base is None:
+                for pivot in pivots.values():
+                    if len(pivot) > c:
+                        pivot[c] = 0
+                moved = pivots.pop(c, None)
+                if moved is not None:
+                    leads ^= 1 << c | 1 << reduce_row(pivots, moved)
+            else:
+                row = base.copy()
+                for col, i in slots:
+                    row[col] = assignment[i]
+                leads |= 1 << reduce_row(pivots, row)
+            for q, cap in conds:
+                if (leads >> q).bit_count() > cap:
+                    return False
+        return True
+
+    return member
 
 
 def _rng(seed: int, tag: str, v: Permutation, w: Permutation) -> random.Random:
@@ -436,26 +519,25 @@ def sample_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
     if s.cone is None:
         raise ValueError("trivial slice has no cone to sample")
     rng = _rng(seed, "cone", s.v, s.w)
-    out = []
-    for _ in range(trials):
-        assignment = s.cone.sample(rng)
-        for eq in s.closed_equations:
-            if poly_eval(eq, assignment):
-                raise SliceStructureError(
-                    f"cone sampler violated its own equation for {s.v.values}"
-                )
-        out.append(assignment)
+    sample, eqs = s.cone.sample, s.closed_equations
+    out = [sample(rng) for _ in range(trials)]
+    for assignment in out:
+        if any(map(poly_eval, eqs, repeat(assignment))):
+            raise SliceStructureError(
+                f"cone sampler violated its own equation for {s.v.values}"
+            )
     return out
 
 
 def _sample_off_cone(s: SliceModel, trials: int, seed: int) -> list[tuple[int, ...]]:
     """Random assignments violating at least one closed equation."""
     rng = _rng(seed, "off", s.v, s.w)
+    size, eqs = len(s.free), s.closed_equations
     out = []
     for _ in range(trials):
         for _attempt in range(1000):
-            assignment = tuple(draw_values(rng, DIGITS, len(s.free)))
-            if any(poly_eval(eq, assignment) for eq in s.closed_equations):
+            assignment = tuple(draw_values(rng, DIGITS, size))
+            if any(map(poly_eval, eqs, repeat(assignment))):
                 out.append(assignment)
                 break
         else:  # pragma: no cover - astronomically unlikely
@@ -511,8 +593,9 @@ def verify_slice(
             break
 
     equivalence_ok = True
+    eqs = model.determinantal_equations
     for assignment in cone:
-        if any(poly_eval(eq, assignment) for eq in model.determinantal_equations):
+        if any(map(poly_eval, eqs, repeat(assignment))):
             equivalence_ok = False
             failures.append(
                 f"equivalence: determinantal model rejects cone point {assignment}"
@@ -520,10 +603,7 @@ def verify_slice(
             break
     if equivalence_ok:
         for assignment in off:
-            if all(
-                poly_eval(eq, assignment) == 0
-                for eq in model.determinantal_equations
-            ):
+            if not any(map(poly_eval, eqs, repeat(assignment))):
                 equivalence_ok = False
                 failures.append(
                     f"equivalence: determinantal model accepts off-cone point {assignment}"

@@ -49,7 +49,8 @@ hand masks back to it:
 * ``indices`` reads the set bits of a mask out as ascending indices, for
   ``interval``, ``coset_tops`` and any caller that needs the points;
 * ``coset_tops`` is one AND of the mask with the bitset of the v that have
-  every left descent of a given set;
+  every left descent of a given set, itself the AND of one bitset per
+  letter s_a, each built from ``descents`` the first time it is needed;
 * ``maximal`` keeps the Bruhat-maximal points of a set, one OR of a kept
   point's mask at a time;
 * ``tangent_counts`` is the one reader that indexes a mask by v, so it
@@ -199,6 +200,15 @@ class SymmetricGroup:
         """
         return reduce(_block_descents, range(2, self.n + 1), b"\0")
 
+    @cached_property
+    def _descent_bitsets(self) -> list[int | None]:
+        """Entry a - 1: the bitset of the v with left descent s_a, laid out like a mask.
+
+        ``coset_tops`` builds each entry the first time it needs it, so the
+        group holds at most n - 1 of them.
+        """
+        return [None] * (self.n - 1)
+
     def index_of(self, values: tuple[int, ...]) -> int:
         """Lexicographic rank: sum over i of #{j > i : v(j) < v(i)} (n - i)!."""
         rest = list(range(1, self.n + 1))
@@ -265,9 +275,16 @@ class SymmetricGroup:
         W_D v below w: s.v <= w iff v <= w for each s in D, so each coset
         meets the interval whole or not at all.
         """
-        # has_all[x] is the digit "1" iff x has every bit of descents.
-        has_all = bytes(48 + (x & descents == descents) for x in range(256))
-        return self.indices(mask & int(self.descents.translate(has_all), 2))
+        # has_all is the bitset of the v with every descent in descents.
+        bitsets, has_all = self._descent_bitsets, -1
+        for a in range(self.n - 1):
+            if descents >> a & 1:
+                if bitsets[a] is None:
+                    # has[x] is the digit "1" iff x has bit a.
+                    has = bytes(48 + (x >> a & 1) for x in range(256))
+                    bitsets[a] = int(self.descents.translate(has), 2)
+                has_all &= bitsets[a]
+        return self.indices(mask & has_all)
 
     def maximal(self, indices: Iterable[int]) -> list[int]:
         """The Bruhat-maximal v among ``indices``, ascending.

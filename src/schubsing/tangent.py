@@ -11,7 +11,12 @@ exactly at smooth points, and this count is the ground truth the rest of the
 package is verified against: no pattern data and no slice geometry enters
 here.
 
-``tangent_dimension`` tests each v.t with ``bruhat_leq``.  The singular
+``tangent_dimension`` tests each v.t by rank-table domination, as
+``bruhat_leq`` does, on v's one-line list with positions a < b swapped in
+place.  Only rank rows a + 1..b differ from v's, which dominate w's: it
+grows them one p at a time from v's row a, compares each with w's row and
+stops at the first that falls short, then swaps back.  It builds no
+permutation and reads no group, so it stays an oracle.  The singular
 points and components of w come from :mod:`schubsing.symgroup` instead,
 which counts v.t <= w on one interval mask of w, walking v.t along its
 left-multiplication table.  m(w, v) is constant on each left coset
@@ -27,8 +32,9 @@ group gives them and never reads their layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, ge
 
-from .perms import Permutation, all_transpositions, bruhat_leq, compose, length
+from .perms import Permutation, bruhat_leq, length, rank_table
 from .symgroup import symmetric_group
 
 __all__ = [
@@ -60,7 +66,24 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
             f"{v.values} is not Bruhat-below {w.values}; "
             "tangent dimensions are defined only on the lower interval"
         )
-    count = sum(1 for t in all_transpositions(v.n) if bruhat_leq(compose(v, t), w))
+    n, rv, rw = v.n, rank_table(v), rank_table(w)
+    # A row p whose value is x adds one to r(p, q) for every q >= x.
+    steps = [(0,) * x + (1,) * (n + 1 - x) for x in range(n + 1)]
+    values = list(v.values)
+    count = 0
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            values[a], values[b] = values[b], values[a]
+            # Rows p <= a and p > b of v.t are v's, which dominate w's, so
+            # rank rows a + 1..b are grown from v's row a, one p at a time.
+            row = rv[a]
+            for x, rwp in zip(values[a:b], rw[a + 1 : b + 1]):
+                row = tuple(map(add, row, steps[x]))
+                if not all(map(ge, row, rwp)):
+                    break
+            else:
+                count += 1
+            values[a], values[b] = values[b], values[a]
     return TangentReport(count, count - length(w))
 
 

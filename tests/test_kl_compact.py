@@ -153,22 +153,28 @@ def test_left_multiplication_table(n):
 
 
 def test_group_builds_each_array_on_first_use(monkeypatch, fresh_memo):
-    """A new group holds its bitsets and lengths only.
+    """A new group holds its bitsets and lengths only, also after a bare ``lower_mask``.
 
     The KL recursion and the component counts each add exactly the s_a.v
-    table and the descent bytes: one multiplication table serves both.
+    table, the descent bytes and the descent bitsets of single letters: one
+    multiplication table serves both.
     """
     base = {"n", "order", "lengths", "_bitsets"}
     assert set(vars(SymmetricGroup(5))) == base
+    group = SymmetricGroup(6)
+    group.lower_mask(group.order - 1)
+    assert set(vars(group)) == base
+    used = base | {"lmul", "descents", "_descent_bitsets"}
     perms = [Permutation(values) for values in permutations(range(1, 7))]
     monkeypatch.setattr(symgroup, "_groups", {})
     for w in perms[::37]:
         kl_recursion(perms[0], w)
-    assert set(vars(symmetric_group(6))) == base | {"lmul", "descents"}
+    assert set(vars(symmetric_group(6))) == used
     monkeypatch.setattr(symgroup, "_groups", {})
     for w in perms[::37]:
         component_counts(w)
-    assert set(vars(symmetric_group(6))) == base | {"lmul", "descents"}
+    assert set(vars(symmetric_group(6))) == used
+    assert len(symmetric_group(6)._descent_bitsets) == 5
 
 
 def test_s6_tables_stay_small(fresh_memo):

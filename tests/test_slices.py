@@ -17,7 +17,7 @@ from schubsing.components import (
     _Quadric,
     classify_component,
 )
-from schubsing.linalg import poly_canonical, poly_eval, poly_var, sym_det
+from schubsing.linalg import poly_canonical, poly_eval, poly_var, reduce_row, sym_det
 from schubsing.perms import (
     Permutation,
     bruhat_leq,
@@ -29,11 +29,13 @@ from schubsing.perms import (
 from schubsing.slices import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    SliceModel,
     SliceStructureError,
     _caps,
     _chart_rows,
     _member,
     _membership,
+    _plan,
     _sample_off_cone,
     build_slice,
     determinantal_model,
@@ -365,6 +367,125 @@ def test_live_membership_matches_full_conditions():
     assert pairs == 656 and verdicts == {True, False}
 
 
+def _zero_heavy(rng, model):
+    """An assignment that often zeroes an entry a pivot's lead sits on."""
+    return [rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in model.free]
+
+
+def test_plan_matches_member_on_zero_heavy_points():
+    """60 seeded zero-heavy points per component pair of S_3..S_6, all of w's conditions.
+
+    Cone and off-cone samples rarely make a stored pivot lose its lead to a
+    deleted column; these points often do.
+    """
+    rng = random.Random(2024)
+    points, verdicts = 0, set()
+    for n in range(3, 7):
+        for w, c in component_pairs(n):
+            model = build_slice(c, w)
+            (chart, _), caps = model.chart, _caps(w)
+            member = _membership(model)
+            for _ in range(60):
+                assignment = _zero_heavy(rng, model)
+                full = _member(caps, _chart_rows(chart, assignment))
+                assert member(assignment) == full, (model.v, w, assignment)
+                verdicts.add(full)
+                points += 1
+    assert points == 39_360 and verdicts == {True, False}
+
+
+def _one_condition_mismatches():
+    """Points where the plan and ``_member`` differ, one live condition at a time.
+
+    w's conditions overlap: with all of them, one condition whose cap is
+    off by one, or whose rank counts a deleted column, is still enforced
+    by its neighbours, so only a plan of a single condition shows such a
+    fault.  For each live condition of each component pair of S_<=5, the
+    model's chart is replaced by one that keeps that condition alone, and
+    20 zero-heavy points are tested.
+    """
+    rng = random.Random(7)
+    bad, verdicts = [], set()
+    for n in range(3, 6):
+        for w, c in component_pairs(n):
+            template, live = build_slice(c, w).chart
+            for p, row in enumerate(live):
+                for cond in row:
+                    one = tuple((cond,) if i == p else () for i in range(len(live)))
+                    model = build_slice(c, w)
+                    model.__dict__["chart"] = (template, one)  # the cached chart
+                    # Read through the module, so that a patched kernel is tested.
+                    member = schubsing.slices._membership(model)
+                    for _ in range(20):
+                        assignment = _zero_heavy(rng, model)
+                        expected = _member(one, _chart_rows(template, assignment))
+                        verdicts.add(expected)
+                        if member(assignment) != expected:
+                            bad.append((w, c.v, p + 1, cond, assignment))
+    assert verdicts == {True, False}
+    return bad
+
+
+def test_plan_matches_member_one_condition_at_a_time():
+    assert _one_condition_mismatches() == []
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("_plan", "col >= q for col in deleted", "col > q for col in deleted"),
+        ("_plan", "bool(slots) or any(c in cols for cols in free)", "bool(slots)"),
+        ("_membership", "pivot[c] = 0", "pass"),
+        ("_membership", "moved = pivots.pop(c, None)", "moved = None"),
+    ],
+    ids=["fixed-lead-count", "fixed-rows-dropped", "column-not-zeroed", "pivot-not-reduced"],
+)
+def test_a_faulty_plan_is_caught(mutate, name, old, new):
+    mutate(schubsing.slices, name, old, new)
+    assert _one_condition_mismatches()
+
+
+def test_plan_of_a_vertex_is_bruhat_order():
+    """With no free coordinate the plan holds no row, only its caps.
+
+    The chart point is then the permutation matrix of v, in X_w iff v <= w:
+    a condition whose fixed leads exceed its cap fails at every point.
+    """
+    for w in all_perms(4):
+        for v in all_perms(4):
+            member = _membership(SliceModel(v, w, None, ()))
+            assert member(()) == bruhat_leq(v, w), (v, w)
+
+
+def test_plan_reduces_only_free_rows():
+    """The plans of the 613 component pairs of S_6, read at the vertex (all zeros).
+
+    Each point meets 1,624 free rows, each reduced once, and 280 fixed rows
+    that delete their column; ``_member`` on the rows up to the last live
+    condition reduces 2,792 rows for the same points.  No pivot loses its
+    lead at the vertex, so no reduction is repeated.
+    """
+    calls = []
+
+    def counting(pivots, row):
+        calls.append(len(row))
+        return reduce_row(pivots, row)
+
+    free = fixed = full = 0
+    for w, c in component_pairs(6):
+        model = build_slice(c, w)
+        chart, live = model.chart
+        plan = _plan(model.chart)
+        free += sum(base is not None for _, base, _, _ in plan)
+        fixed += sum(base is None for _, base, _, _ in plan)
+        last = max((p for p, row in enumerate(live, 1) if row), default=0)
+        full += last
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schubsing.slices, "reduce_row", counting)
+            assert _membership(model)([0] * len(model.free))
+    assert (len(calls), free, fixed, full) == (1_624, 1_624, 280, 2_792)
+
+
 # ---------------------------------------------------------------------------
 # sampling and verification
 
@@ -425,6 +546,26 @@ def test_verify_slice_all_pairs(n):
     for w, c in component_pairs(n):
         verdict = verify_slice(build_slice(c, w), trials=25, seed=101)
         assert verdict.ok, (w.values, c.v.values, verdict.failures)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("eqs = model.determinantal_equations", "eqs = model.determinantal_equations[:1]"),
+        ("if not any(map(poly_eval, eqs,", "if any(map(poly_eval, eqs,"),
+    ],
+    ids=["first-minor-only", "off-cone-test-inverted"],
+)
+def test_an_equivalence_check_misreading_the_minors_is_caught(mutate, old, new):
+    """The equivalence check evaluates every minor at every point it needs."""
+    mutate(schubsing.slices, "verify_slice", old, new)
+    failing = [
+        (w, c.v)
+        for n in (4, 5)
+        for w, c in component_pairs(n)
+        if not schubsing.slices.verify_slice(build_slice(c, w), trials=25, seed=101).equivalence_ok
+    ]
+    assert failing
 
 
 def test_failure_witness_prints_plain_integers(monkeypatch):

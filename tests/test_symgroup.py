@@ -149,8 +149,9 @@ _BASE = {"n", "order", "lengths", "_bitsets"}
 def test_group_keeps_only_its_arrays(monkeypatch):
     """S_8 keeps its bitsets and lengths; no n!-tuple of permutations, no mask cache.
 
-    Counting the components of a w adds exactly the s_a.v table and the
-    descent bytes.
+    Counting the components of a w adds exactly the s_a.v table, the
+    descent bytes and the descent bitset of each letter w's coset tops read
+    (one for 5,6,7,8,1,2,3,4, whose only left descent is s_4).
     """
     monkeypatch.setattr(symgroup, "_groups", {})
     tracemalloc.start()
@@ -164,8 +165,11 @@ def test_group_keeps_only_its_arrays(monkeypatch):
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert set(vars(group)) == _BASE | {"lmul", "descents"}
+    assert set(vars(group)) == _BASE | {"lmul", "descents", "_descent_bitsets"}
+    letters = [bits for bits in group._descent_bitsets if bits is not None]
+    assert len(letters) == 1
     arrays = _bitset_bytes(group) + len(group.lengths) + len(group.descents)
+    arrays += sum(map(sys.getsizeof, letters))
     assert kept - arrays - _lmul_bytes(group) < 1_000_000
 
 

@@ -1,21 +1,29 @@
 """Tests for the tangent-space oracle and singular locus enumeration."""
 
+import ast
+import inspect
 import itertools
 import os
+import textwrap
 
 import pytest
 
+import schubsing.tangent
 from schubsing.patterns import is_smooth
 from schubsing.perms import (
     Permutation,
+    all_transpositions,
     bruhat_leq,
+    compose,
     identity,
     inverse,
     length,
     make_permutation,
 )
+from schubsing.sweep import component_pairs
 from schubsing.symgroup import SymmetricGroup, symmetric_group
 from schubsing.tangent import (
+    TangentReport,
     component_counts,
     singular_components,
     singular_points,
@@ -40,8 +48,87 @@ def test_frozen_example_3412():
 
 
 def test_incomparable_pair_rejected():
-    with pytest.raises(ValueError):
-        tangent_dimension(make_permutation([2, 1, 4, 3]), make_permutation([1, 3, 2, 4]))
+    v, w = make_permutation([2, 1, 4, 3]), make_permutation([1, 3, 2, 4])
+    with pytest.raises(ValueError) as error:
+        tangent_dimension(v, w)
+    with pytest.raises(ValueError) as expected:
+        reference_tangent_dimension(v, w)
+    assert str(error.value) == str(expected.value)
+    assert str(error.value) == (
+        "(2, 1, 4, 3) is not Bruhat-below (1, 3, 2, 4); "
+        "tangent dimensions are defined only on the lower interval"
+    )
+
+
+def reference_tangent_dimension(v, w):
+    """m(w, v) as the oracle first counted it: compose v with each transposition, then compare."""
+    if not bruhat_leq(v, w):
+        raise ValueError(
+            f"{v.values} is not Bruhat-below {w.values}; "
+            "tangent dimensions are defined only on the lower interval"
+        )
+    count = sum(1 for t in all_transpositions(v.n) if bruhat_leq(compose(v, t), w))
+    return TangentReport(count, count - length(w))
+
+
+def _small_pairs():
+    """Every pair v <= w of S_1..S_5 (4,017 pairs)."""
+    for n in range(1, 6):
+        perms = all_perms(n)
+        yield from ((v, w) for w in perms for v in perms if bruhat_leq(v, w))
+
+
+def _reference_mismatches(pairs):
+    """The pairs where the oracle and the reference differ, lazily."""
+    # Read through the module, so that a patched oracle is tested.
+    return (
+        (v, w)
+        for v, w in pairs
+        if schubsing.tangent.tangent_dimension(v, w) != reference_tangent_dimension(v, w)
+    )
+
+
+def test_tangent_dimension_matches_reference_on_small_pairs():
+    pairs = list(_small_pairs())
+    assert len(pairs) == 4_017
+    assert list(_reference_mismatches(pairs)) == []
+
+
+def test_tangent_dimension_matches_reference_on_s6_components():
+    pairs = [(c.v, w) for w, c in component_pairs(6)]
+    assert len(pairs) == 613
+    assert list(_reference_mismatches(pairs)) == []
+    assert sum(tangent_dimension(v, w).dim for v, w in pairs) == 6_332
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("zip(values[a:b], rw[a + 1 : b + 1])", "zip(values[a : b - 1], rw[a + 1 : b])"),
+        (
+            "count += 1\n            values[a], values[b] = values[b], values[a]\n",
+            "count += 1\n",
+        ),
+    ],
+    ids=["last-row-skipped", "no-swap-back"],
+)
+def test_a_faulty_domination_loop_is_caught(mutate, old, new):
+    mutate(schubsing.tangent, "tangent_dimension", old, new)
+    assert next(_reference_mismatches(_small_pairs()), None)
+
+
+def test_oracle_reads_no_group_and_no_slice_rule():
+    """``tangent_dimension`` stays independent of every fast route it checks."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(schubsing.tangent.tangent_dimension)))
+    body = [node for stmt in tree.body[0].body for node in ast.walk(stmt)]  # not the annotations
+    names = {node.id for node in body if isinstance(node, ast.Name)}
+    names |= {node.attr for node in body if isinstance(node, ast.Attribute)}
+    assert {"rank_table", "bruhat_leq"} <= names
+    forbidden = {
+        "symmetric_group", "lmul", "free_coordinates", "component_counts",
+        "Permutation", "compose", "all_transpositions",
+    }
+    assert not names & forbidden
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
