@@ -6,6 +6,7 @@ All output is JSON with sorted keys, so repeated runs with the same
 arguments produce byte-identical bytes.  Exit codes: 0 on success, 1 when a
 verification reports failures, a component or its slice does not fit its
 family, or a ``verify-all`` worker process dies, 2 on usage errors.
+Commands raise on bad input; ``main`` alone writes the one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -74,27 +75,22 @@ def _poly_str(coefficients: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _over_cap(command: str, *perms: Permutation) -> bool:
-    """Print one error line if a permutation exceeds the query cap."""
+def _check_n(command: str, *perms: Permutation) -> None:
+    """Raise ``ValueError`` if a permutation exceeds the query cap."""
     n = max(p.n for p in perms)
-    if n <= _QUERY_MAX_N:
-        return False
-    print(f"error: {command} takes n <= {_QUERY_MAX_N}, got n = {n}", file=sys.stderr)
-    return True
+    if n > _QUERY_MAX_N:
+        raise ValueError(f"{command} takes n <= {_QUERY_MAX_N}, got n = {n}")
 
 
-def _too_many_trials(trials: int) -> bool:
-    """Print one error line if --trials exceeds its cap."""
-    if trials <= _TRIALS_MAX:
-        return False
-    print(f"error: --trials takes at most {_TRIALS_MAX}, got {trials}", file=sys.stderr)
-    return True
+def _check_trials(trials: int) -> None:
+    """Raise ``ValueError`` if --trials exceeds its cap."""
+    if trials > _TRIALS_MAX:
+        raise ValueError(f"--trials takes at most {_TRIALS_MAX}, got {trials}")
 
 
 def cmd_smooth(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
-    if _over_cap("smooth", w):
-        return 2
+    _check_n("smooth", w)
     occurrences = find_patterns(w)
     _print(
         {
@@ -112,16 +108,15 @@ def cmd_smooth(args: argparse.Namespace) -> int:
 def cmd_tangent(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
-    if _over_cap("tangent", v, w):
-        return 2
-    report = tangent_dimension(v, w)
+    _check_n("tangent", v, w)
+    m, lw = tangent_dimension(v, w), length(w)
     _print(
         {
             "v": format_permutation(v),
             "w": format_permutation(w),
-            "m": report.dim,
-            "length": length(w),
-            "excess": report.excess,
+            "m": m,
+            "length": lw,
+            "excess": m - lw,
         }
     )
     return 0
@@ -129,8 +124,7 @@ def cmd_tangent(args: argparse.Namespace) -> int:
 
 def cmd_singular_locus(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
-    if _over_cap("singular-locus", w):
-        return 2
+    _check_n("singular-locus", w)
     entries = []
     for c in components_from_patterns(w):
         model = build_slice(c, w)
@@ -148,8 +142,7 @@ def cmd_singular_locus(args: argparse.Namespace) -> int:
 def cmd_kl(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
-    if _over_cap("kl", v, w):
-        return 2
+    _check_n("kl", v, w)
     recursion = kl_recursion(v, w)  # also checks v <= w, and n <= 9
     closed = next(
         (c.kl_closed_form() for c in components_from_patterns(w) if c.v == v), None
@@ -170,8 +163,8 @@ def cmd_kl(args: argparse.Namespace) -> int:
 def cmd_slice(args: argparse.Namespace) -> int:
     v = parse_permutation(args.v)
     w = parse_permutation(args.w)
-    if _over_cap("slice", v, w) or _too_many_trials(args.trials):
-        return 2
+    _check_n("slice", v, w)
+    _check_trials(args.trials)
     report = slice_report(v, w, trials=args.trials, seed=args.seed)
     report["v"] = format_permutation(v)
     report["w"] = format_permutation(w)
@@ -182,26 +175,20 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     w = parse_permutation(args.w)
-    if _over_cap("report", w) or _too_many_trials(args.trials):
-        return 2
+    _check_n("report", w)
+    _check_trials(args.trials)
     record = verify_permutation(w, trials=args.trials, seed=args.seed)
     _print(record)
     return 0 if record["ok"] else 1
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    if _too_many_trials(args.trials):
-        return 2
+    _check_trials(args.trials)
     if not 2 <= args.n <= _VERIFY_MAX_N:
-        print(
-            f"error: --n must be between 2 and {_VERIFY_MAX_N}"
-            " (n = 8 waits on one recorded S_8 run)",
-            file=sys.stderr,
+        raise ValueError(
+            f"--n must be between 2 and {_VERIFY_MAX_N} (n = 8 waits on one recorded S_8 run)"
         )
-        return 2
-    report = verify_all(
-        args.n, trials=args.trials, seed=args.seed, jobs=args.jobs, progress=args.n >= 7
-    )
+    report = verify_all(args.n, trials=args.trials, seed=args.seed, jobs=args.jobs)
     _print(report, pretty=False)
     return 0 if report["ok"] else 1
 

@@ -453,9 +453,11 @@ def classify_component(v: Permutation, w: Permutation) -> Component:
     unless v is a component point (an element of
     :func:`schubsing.tangent.singular_components`).  It reads
     :func:`enumerate_components`, so it needs n <= ``MAX_N``.  The sweep
-    calls ``enumerate_components`` itself; the tests and
-    ``perfbench/traced.py`` use this one-point lookup, imported from this
-    module.
+    calls ``enumerate_components`` itself; the tests call this one-point
+    lookup, imported from this module.  ``perfbench/traced.py`` wraps the
+    name, but no benchmark command reaches it, and
+    ``tests/test_trace_hooks.py`` keeps the name until the benchmark refresh
+    (ROADMAP item 7).
     """
     if not bruhat_leq(v, w):
         raise ValueError(f"{v.values} is not Bruhat-below {w.values}")
@@ -625,4 +627,4 @@ def verify_formulas(c: Component, w: Permutation) -> bool:
     here m(w, v) comes from the oracle :func:`schubsing.tangent.tangent_dimension`.
     """
     lw = length(w)
-    return lw - length(c.v) == c.codim and tangent_dimension(c.v, w).dim - lw == c.excess
+    return lw - length(c.v) == c.codim and tangent_dimension(c.v, w) - lw == c.excess

@@ -85,6 +85,12 @@ class Permutation:
             prev = row
         return tuple(rows)
 
+    @cached_property
+    def length(self) -> int:
+        """Number of inversions, counted once per object as ``rank_table`` is."""
+        vals = self.values
+        return sum(vals[i] > vals[j] for i in range(self.n) for j in range(i + 1, self.n))
+
 
 def make_permutation(values: Iterable[int]) -> Permutation:
     """Validate a sequence of values as a permutation of 1..n.
@@ -155,13 +161,7 @@ def length(w: Permutation) -> int:
     >>> length(Permutation((4, 2, 3, 1)))
     5
     """
-    vals = w.values
-    return sum(
-        1
-        for i in range(w.n)
-        for j in range(i + 1, w.n)
-        if vals[i] > vals[j]
-    )
+    return w.length
 
 
 def rank_table(w: Permutation) -> tuple[tuple[int, ...], ...]:

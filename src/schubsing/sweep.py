@@ -33,6 +33,10 @@ __all__ = [
     "verify_permutation",
 ]
 
+# From this n on, a sweep takes long enough (S_7: about 17 s of CPU) that
+# verify_all prints one progress line per chunk on stderr.
+_PROGRESS_MIN_N = 7
+
 
 def component_pairs(n: int) -> Iterator[tuple[Permutation, Component]]:
     """All pairs (w, component of w) over the whole symmetric group."""
@@ -130,14 +134,14 @@ def verify_all(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     jobs: int = 1,
-    progress: bool = False,
 ) -> dict:
     """Sweep all of S_n and aggregate counters plus failure witnesses.
 
-    S_n is cut into the same chunks whatever ``jobs`` is, so the report and
-    the progress lines (one per chunk) do not depend on it.  With ``jobs > 1``
-    a dead worker raises :class:`WorkerCrashError`.  ``trials < 1`` would
-    check no slice and raises ``ValueError`` before any work.
+    S_n is cut into the same chunks whatever ``jobs`` is, so the report and,
+    for n >= 7, the progress lines on stderr (one per chunk) do not depend
+    on it.  With ``jobs > 1`` a dead worker raises :class:`WorkerCrashError`.
+    ``trials < 1`` would check no slice and raises ``ValueError`` before any
+    work.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -157,7 +161,7 @@ def verify_all(
                 by_type[entry["type"]] = by_type.get(entry["type"], 0) + 1
             witnesses.extend(_record_failures(record))
         done += len(part)
-        if progress:
+        if n >= _PROGRESS_MIN_N:
             print(f"  {done}/{total} permutations", file=sys.stderr, flush=True)
 
     return {

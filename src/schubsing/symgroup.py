@@ -263,7 +263,10 @@ class SymmetricGroup:
     def interval(self, wi: int) -> array:
         """Indices of {v : v <= w}, ascending.
 
-        Nothing in the package calls it; the benchmark in ``perfbench/`` does.
+        Nothing in the package calls it; the tests do.  ``perfbench/traced.py``
+        wraps the name, but no benchmark command reaches it, and
+        ``tests/test_trace_hooks.py`` keeps the name until the benchmark
+        refresh (ROADMAP item 7).
         """
         return self.indices(self.lower_mask(wi))
 

@@ -31,14 +31,12 @@ group gives them and never reads their layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, ge
 
-from .perms import Permutation, bruhat_leq, length, rank_table
+from .perms import Permutation, bruhat_leq, rank_table
 from .symgroup import symmetric_group
 
 __all__ = [
-    "TangentReport",
     "component_counts",
     "singular_components",
     "singular_points",
@@ -46,19 +44,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TangentReport:
-    """Tangent dimension ``dim`` = m(w, v) and ``excess`` = m(w, v) - length(w)."""
-
-    dim: int
-    excess: int
-
-
-def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
-    """Count transpositions t with v.t <= w; requires v <= w.
+def tangent_dimension(v: Permutation, w: Permutation) -> int:
+    """m(w, v): the number of transpositions t with v.t <= w; requires v <= w.
 
     >>> from .perms import make_permutation
-    >>> tangent_dimension(make_permutation([2, 1, 4, 3]), make_permutation([4, 2, 3, 1])).dim
+    >>> tangent_dimension(make_permutation([2, 1, 4, 3]), make_permutation([4, 2, 3, 1]))
     6
     """
     if not bruhat_leq(v, w):
@@ -84,15 +74,17 @@ def tangent_dimension(v: Permutation, w: Permutation) -> TangentReport:
             else:
                 count += 1
             values[a], values[b] = values[b], values[a]
-    return TangentReport(count, count - length(w))
+    return count
 
 
 def singular_points(w: Permutation) -> set[Permutation]:
     """Fixed points v <= w where the tangent dimension exceeds length(w).
 
-    Counts at every v of the interval.  No caller in the package: it is the
-    tests' reference for :func:`component_counts`, and ``perfbench/traced.py``
-    times it.
+    Counts at every v of the interval.  No caller in the package: the tests
+    call it as the reference for :func:`component_counts`.
+    ``perfbench/traced.py`` wraps the name, but no benchmark command reaches
+    it, and ``tests/test_trace_hooks.py`` keeps the name until the benchmark
+    refresh (ROADMAP item 7).
     """
     group = symmetric_group(w.n)
     wi = group.index_of(w.values)

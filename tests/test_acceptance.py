@@ -185,7 +185,7 @@ def test_criterion_4_free_count_identity(capsys):
     for n in SWEEP_SIZES:
         for w, c in component_pairs(n):
             pairs += 1
-            expected = tangent_dimension(c.v, w).dim - length(c.v)
+            expected = tangent_dimension(c.v, w) - length(c.v)
             if len(free_coordinates(c.v, w)) != expected:
                 failures.append((w.values, c.v.values))
     ok = pairs > 0 and not failures
@@ -278,6 +278,7 @@ def test_criterion_8_extended_sweep(capsys):
     start = time.perf_counter()
     jobs = int(os.environ.get("SCHUBSING_JOBS", "1"))
     report = verify_all(7, trials=50, seed=DEFAULT_SEED, jobs=jobs)
+    progress = capsys.readouterr().err
     # The pattern route of singular-locus against the reference classification
     # of the kernel's tangent counts, per w.
     route_mismatches = []
@@ -312,6 +313,8 @@ def test_criterion_8_extended_sweep(capsys):
     # The bytes `verify-all --n 7` prints: trials and seed are the defaults.
     stdout = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     assert hashlib.md5(stdout.encode()).hexdigest() == "d96a5355ef5d79bffad9e9a52349bae1"
+    # And the stderr: one progress line per chunk of 126, whatever SCHUBSING_JOBS is.
+    assert progress == "".join(f"  {126 * k}/5040 permutations\n" for k in range(1, 41))
     assert summary["permutations_checked"] == 5040
     assert summary["smooth_count"] == haiman_smooth_counts(7)[7] == 1552
     assert summary["component_pairs"] == 8426

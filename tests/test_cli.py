@@ -1,7 +1,9 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schubsing.cli
 import schubsing.slices
 import schubsing.sweep
 from schubsing.cli import main
@@ -164,11 +167,28 @@ def test_verify_all_n_guard(capsys, monkeypatch):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr("schubsing.cli.verify_all", no_sweep)
-    assert run_cli(capsys, "verify-all", "--n", "1")[0] == 2
-    assert run_cli(capsys, "verify-all", "--n", "9")[0] == 2
-    code, out, err = run_cli(capsys, "verify-all", "--n", "8")
-    assert (code, out) == (2, "")
-    assert "between 2 and 7" in err and "one recorded S_8 run" in err
+    for n in ("1", "8", "9"):
+        code, out, err = run_cli(capsys, "verify-all", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --n must be between 2 and 7 (n = 8 waits on one recorded S_8 run)\n"
+        )
+
+
+def test_only_main_writes_to_stderr():
+    """Commands raise; ``main`` alone turns an error into its ``error:`` line and exit code."""
+    tree = ast.parse(inspect.getsource(schubsing.cli))
+    main_def = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    inside = set(map(id, ast.walk(main_def)))
+    stderr = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+    ]
+    assert stderr
+    assert all(id(node) in inside for node in stderr), [node.lineno for node in stderr]
 
 
 @pytest.mark.parametrize(
@@ -358,15 +378,17 @@ def test_verify_all_deterministic(capsys):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_verify_all_parallel_matches_serial(capsys, n):
+def test_verify_all_parallel_matches_serial(capsys, monkeypatch, n):
     """The same report through the CLI, and the same progress lines from ``verify_all``."""
     argv = ("verify-all", "--n", str(n), "--trials", "5")
     serial = run_cli(capsys, *argv)
     assert serial[0] == 0
     assert run_cli(capsys, *argv, "--jobs", "2") == serial
+    # Progress lines start at n = 7; lowered here so that a small sweep prints them.
+    monkeypatch.setattr(schubsing.sweep, "_PROGRESS_MIN_N", n)
     progress = []
     for jobs in (1, 2):
-        schubsing.sweep.verify_all(n, trials=5, jobs=jobs, progress=True)
+        schubsing.sweep.verify_all(n, trials=5, jobs=jobs)
         progress.append(capsys.readouterr().err)
     assert progress[0] == progress[1]
     assert progress[0].count("permutations\n") == min(40, math.factorial(n))

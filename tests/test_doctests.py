@@ -54,4 +54,4 @@ def test_readme_python_api_block():
             checked += 1
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert checked == 5
+    assert checked == 6

@@ -22,6 +22,7 @@ from schubsing.perms import (
     rank_table,
     transposition,
 )
+from schubsing.sweep import verify_all
 
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -80,6 +81,26 @@ def test_call_is_one_indexed():
 def test_longest_element():
     assert longest_element(3).values == (3, 2, 1)
     assert length(longest_element(5)) == 10
+
+
+def test_length_is_counted_once_per_object(monkeypatch):
+    """A second ``length`` on one object reads the cache; a sweep counts each w and v once."""
+    counted = []
+    cached = Permutation.__dict__["length"]
+    count = cached.func
+
+    def counting(w):
+        counted.append(w.values)
+        return count(w)
+
+    monkeypatch.setattr(cached, "func", counting)
+    w = make_permutation([4, 2, 3, 1])
+    assert (length(w), length(w), w.length) == (5, 5, 5)
+    assert counted == [(4, 2, 3, 1)]
+    counted.clear()
+    # 120 w and 41 component points; 524 when length was recounted per call.
+    assert verify_all(5)["summary"]["component_pairs"] == 41
+    assert len(counted) == 161
 
 
 def test_inverse_example():

@@ -115,7 +115,7 @@ def test_free_coordinates_match_cell_by_cell_reference():
 def test_free_count_equals_tangent_excess_over_cell(n):
     for w, c in component_pairs(n):
         free = free_coordinates(c.v, w)
-        assert len(free) == tangent_dimension(c.v, w).dim - length(c.v)
+        assert len(free) == tangent_dimension(c.v, w) - length(c.v)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_tangent_counts_agree_with_tangent_dimension():
         assert len(counts) == len(cands)
         for vi, count in zip(cands, counts):
             v = group.perm(vi)
-            assert count == tangent_dimension(v, w).dim, (v, w)
+            assert count == tangent_dimension(v, w), (v, w)
 
 
 def test_lengths_array():
