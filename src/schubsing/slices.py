@@ -558,66 +558,36 @@ def verify_slice(
     c, w = model.component, model.w
     if c is None:
         raise ValueError("only a component's slice has checks to run")
-    failures: list[str] = []
     # m(w, v) - length(v), from the family's side counts.
     expected_dim = c.codim + c.excess
-    tangent_ok = len(model.free) == expected_dim and all(
-        poly_is_homogeneous_quadratic(eq) for eq in model.closed_equations
-    )
-    if not tangent_ok:
-        failures.append(
-            f"tangent: {len(model.free)} free coordinates, expected {expected_dim}"
-        )
-
     ranked, rank, expected = model.cone.dim_rank(_rng(seed, "jac", c.v, w))
-    dim_ok = rank == expected
-    if not dim_ok:
-        failures.append(f"dim: {ranked} rank {rank}, expected {expected}")
-
     cone = sample_cone(model, trials, seed)
     off = _sample_off_cone(model, trials, seed)
-
     member = _membership(model)
-    containment_ok = True
-    for assignment in cone:
-        if not member(assignment):
-            containment_ok = False
-            failures.append(f"containment: cone point {assignment} escapes X_w")
-            break
-
-    exclusion_ok = True
-    for assignment in off:
-        if member(assignment):
-            exclusion_ok = False
-            failures.append(f"exclusion: off-cone point {assignment} lies in X_w")
-            break
-
-    equivalence_ok = True
+    escaped = next((point for point in cone if not member(point)), None)
+    intruder = next((point for point in off if member(point)), None)
     eqs = model.determinantal_equations
-    for assignment in cone:
-        if any(map(poly_eval, eqs, repeat(assignment))):
-            equivalence_ok = False
-            failures.append(
-                f"equivalence: determinantal model rejects cone point {assignment}"
-            )
-            break
-    if equivalence_ok:
-        for assignment in off:
-            if not any(map(poly_eval, eqs, repeat(assignment))):
-                equivalence_ok = False
-                failures.append(
-                    f"equivalence: determinantal model accepts off-cone point {assignment}"
-                )
-                break
-
+    rejected = next((point for point in cone if any(map(poly_eval, eqs, repeat(point)))), None)
+    accepted = None if rejected is not None else next(
+        (point for point in off if not any(map(poly_eval, eqs, repeat(point)))), None
+    )
+    # (check, ok, note) in witness order; a check with two clauses has two rows.
+    checks = [
+        ("tangent", len(model.free) == expected_dim,
+         f"{len(model.free)} free coordinates, expected {expected_dim}"),
+        ("tangent", all(map(poly_is_homogeneous_quadratic, model.closed_equations)),
+         "a closed equation is not a homogeneous quadric"),
+        ("dim", rank == expected, f"{ranked} rank {rank}, expected {expected}"),
+        ("containment", escaped is None, f"cone point {escaped} escapes X_w"),
+        ("exclusion", intruder is None, f"off-cone point {intruder} lies in X_w"),
+        ("equivalence", rejected is None, f"determinantal model rejects cone point {rejected}"),
+        ("equivalence", accepted is None,
+         f"determinantal model accepts off-cone point {accepted}"),
+    ]
     return SliceVerdict(
-        tangent_ok=tangent_ok,
-        dim_ok=dim_ok,
-        containment_ok=containment_ok,
-        exclusion_ok=exclusion_ok,
-        equivalence_ok=equivalence_ok,
+        **{f"{name}_ok": all(ok for n, ok, _ in checks if n == name) for name, _, _ in checks},
         samples=len(cone) + len(off),
-        failures=tuple(failures),
+        failures=tuple(f"{name}: {note}" for name, ok, note in checks if not ok),
     )
 
 

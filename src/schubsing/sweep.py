@@ -46,77 +46,92 @@ def component_pairs(n: int) -> Iterator[tuple[Permutation, Component]]:
             yield w, c
 
 
+def _formulas(c: Component, w: Permutation, trials: int, seed: int) -> tuple[dict, list]:
+    ok = verify_formulas(c, w)
+    failed = [] if ok else [("formulas", f"type {c.ctype} double equalities fail")]
+    return {"formulas_ok": ok}, failed
+
+
+def _kl(c: Component, w: Permutation, trials: int, seed: int) -> tuple[dict, list]:
+    closed, recursion = list(c.kl_closed_form()), list(kl_recursion(c.v, w))
+    ok = closed == recursion
+    fields = {"kl_closed": closed, "kl_recursion": recursion, "kl_ok": ok}
+    return fields, [] if ok else [("kl", f"closed form {closed} != recursion {recursion}")]
+
+
+def _slice(c: Component, w: Permutation, trials: int, seed: int) -> tuple[dict, list]:
+    try:
+        verdict = verify_slice(build_slice(c, w), trials=trials, seed=seed)
+    except SliceStructureError as exc:
+        fields = {"slice_ok": False, "slice_failures": [], "slice_error": str(exc)}
+        return fields, [("slice-structure", str(exc))]
+    failures = list(verdict.failures)
+    fields = {"slice_ok": verdict.ok, "slice_failures": failures, "slice_error": None}
+    return fields, [] if verdict.ok else [("slice", "; ".join(failures))]
+
+
+# The checks run on each component, in witness order.  Each returns the
+# fields it adds to the component's record entry and its (check, detail)
+# failure witnesses.
+_COMPONENT_CHECKS = (_formulas, _kl, _slice)
+
+
+def _verify(w: Permutation, trials: int, seed: int) -> tuple[dict, list[dict]]:
+    """The record of w and its failure witnesses (w, v, check, detail)."""
+    name = format_permutation(w)
+    smooth_pattern = is_smooth(w)
+    classified = enumerate_components(w)
+    # A finite singular set is empty iff it has no maximal elements.
+    smooth_tangent = not classified
+    rows = []
+    if smooth_pattern != smooth_tangent:
+        rows.append((None, "smoothness", f"pattern {smooth_pattern}, tangent {smooth_tangent}"))
+    components = []
+    for c in classified:
+        entry = c.json_fields()
+        for check in _COMPONENT_CHECKS:
+            fields, failed = check(c, w, trials, seed)
+            entry.update(fields)
+            rows += [(entry["v"], *row) for row in failed]
+        components.append(entry)
+    witnesses = [{"w": name, "v": v, "check": check, "detail": d} for v, check, d in rows]
+    record = {
+        "w": name,
+        "length": length(w),
+        "smooth_pattern": smooth_pattern,
+        "smooth_tangent": smooth_tangent,
+        "components": components,
+        "ok": not witnesses,
+    }
+    return record, witnesses
+
+
 def verify_permutation(
     w: Permutation,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> dict:
-    """Every cross-check for a single w, as a JSON-ready record."""
-    smooth_pattern = is_smooth(w)
-    classified = enumerate_components(w)
-    # A finite singular set is empty iff it has no maximal elements.
-    smooth_tangent = not classified
-    components = []
-    for c in classified:
-        entry = c.json_fields()
-        entry["formulas_ok"] = verify_formulas(c, w)
-        closed = c.kl_closed_form()
-        recursion = kl_recursion(c.v, w)
-        entry["kl_closed"] = list(closed)
-        entry["kl_recursion"] = list(recursion)
-        entry["kl_ok"] = closed == recursion
-        try:
-            verdict = verify_slice(build_slice(c, w), trials=trials, seed=seed)
-            entry["slice_ok"] = verdict.ok
-            entry["slice_failures"] = list(verdict.failures)
-            entry["slice_error"] = None
-        except SliceStructureError as exc:
-            entry["slice_ok"] = False
-            entry["slice_failures"] = []
-            entry["slice_error"] = str(exc)
-        components.append(entry)
-    record = {
-        "w": format_permutation(w),
-        "length": length(w),
-        "smooth_pattern": smooth_pattern,
-        "smooth_tangent": smooth_tangent,
-        "components": components,
-    }
-    record["ok"] = not _record_failures(record)
-    return record
+    """Every cross-check for a single w, as a JSON-ready record.
+
+    ``trials < 1`` would check no slice and raises ``ValueError`` before any
+    work.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return _verify(w, trials, seed)[0]
 
 
 class WorkerCrashError(RuntimeError):
     """A ``verify_all`` worker process died before returning its chunk."""
 
 
-def _record_failures(record: dict) -> list[dict]:
-    """Failure witnesses (w, v, check, detail) extracted from one record."""
-    pattern, tangent = record["smooth_pattern"], record["smooth_tangent"]
-    rows = [(None, "smoothness", pattern == tangent, f"pattern {pattern}, tangent {tangent}")]
-    for e in record["components"]:
-        error = e["slice_error"]
-        rows += [
-            (e["v"], "formulas", e["formulas_ok"], f"type {e['type']} double equalities fail"),
-            (e["v"], "kl", e["kl_ok"],
-             f"closed form {e['kl_closed']} != recursion {e['kl_recursion']}"),
-            (e["v"], "slice-structure", error is None, error),
-            (e["v"], "slice", error is not None or e["slice_ok"], "; ".join(e["slice_failures"])),
-        ]
-    return [
-        {"w": record["w"], "v": v, "check": check, "detail": detail}
-        for v, check, ok, detail in rows
-        if not ok
-    ]
-
-
-def _verify_chunk(args: tuple[int, int, int, int, int]) -> list[dict]:
+def _verify_chunk(args: tuple[int, int, int, int, int]) -> list[tuple[dict, list[dict]]]:
     n, lo, hi, trials, seed = args
     perms = islice(permutations(range(1, n + 1)), lo, hi)
-    return [verify_permutation(Permutation(p), trials=trials, seed=seed) for p in perms]
+    return [_verify(Permutation(p), trials, seed) for p in perms]
 
 
-def _pool_map(jobs: int, tasks: list) -> Iterator[list[dict]]:
+def _pool_map(jobs: int, tasks: list) -> Iterator[list[tuple[dict, list[dict]]]]:
     """``map(_verify_chunk, tasks)`` in order, over ``jobs`` worker processes."""
     # Imported here so that importing the package loads no process machinery.
     from concurrent.futures import ProcessPoolExecutor
@@ -155,11 +170,11 @@ def verify_all(
     smooth_count = 0
     done = 0
     for part in parts:
-        for record in part:
+        for record, found in part:
             smooth_count += record["smooth_pattern"] and record["smooth_tangent"]
             for entry in record["components"]:
                 by_type[entry["type"]] = by_type.get(entry["type"], 0) + 1
-            witnesses.extend(_record_failures(record))
+            witnesses += found
         done += len(part)
         if n >= _PROGRESS_MIN_N:
             print(f"  {done}/{total} permutations", file=sys.stderr, flush=True)

@@ -434,14 +434,14 @@ from schubsing.cli import main
 from schubsing.components import ClassificationError, QuadricComponent
 
 parent = os.getpid()
-real = schubsing.sweep.verify_permutation
+real = schubsing.sweep._verify
 
 def dying(*args, **kwargs):
     if os.getpid() != parent:
         os._exit(3)
     return real(*args, **kwargs)
 
-schubsing.sweep.verify_permutation = dying
+schubsing.sweep._verify = dying
 sys.exit(main(["verify-all", "--n", "4", "--trials", "1", "--jobs", "2"]))
 """
 

@@ -12,6 +12,7 @@ import pytest
 import schubsing.slices
 import schubsing.sweep
 from schubsing.components import (
+    QuadricComponent,
     RectangleComponent,
     _Grid,
     _Quadric,
@@ -49,7 +50,7 @@ from schubsing.slices import (
     slice_report,
     verify_slice,
 )
-from schubsing.sweep import _record_failures, component_pairs, verify_all, verify_permutation
+from schubsing.sweep import _verify, component_pairs, verify_all, verify_permutation
 from schubsing.symgroup import SymmetricGroup, symmetric_group
 from schubsing.tangent import tangent_dimension
 
@@ -552,7 +553,7 @@ def test_verify_slice_all_pairs(n):
     "old, new",
     [
         ("eqs = model.determinantal_equations", "eqs = model.determinantal_equations[:1]"),
-        ("if not any(map(poly_eval, eqs,", "if any(map(poly_eval, eqs,"),
+        ("point in off if not any(map(poly_eval, eqs,", "point in off if any(map(poly_eval, eqs,"),
     ],
     ids=["first-minor-only", "off-cone-test-inverted"],
 )
@@ -596,6 +597,35 @@ def test_exclusion_reads_the_rank_conditions(monkeypatch):
     assert in_schubert(make_permutation([1, 2, 3, 4]), perm_flag(w))
 
 
+class _ShiftedExcess(QuadricComponent):
+    """A 3412* component whose family formula gives one tangent direction too many."""
+
+    @property
+    def excess(self):
+        return 2
+
+
+def test_a_tangent_count_off_its_family_formula_is_named():
+    w = make_permutation([3, 4, 1, 2])
+    c = classify_component(make_permutation([1, 3, 2, 4]), w)
+    verdict = verify_slice(build_slice(_ShiftedExcess(c.v, c.l, c.m), w), trials=3, seed=101)
+    assert (verdict.tangent_ok, verdict.dim_ok, verdict.containment_ok) == (False, True, True)
+    assert verdict.failures == ("tangent: 4 free coordinates, expected 5",)
+
+
+def test_a_closed_equation_that_is_not_a_quadric_is_named():
+    """An empty polynomial among the closed equations fails the tangent check alone.
+
+    It vanishes everywhere, so sampling and membership still agree.
+    """
+    w = make_permutation([3, 4, 1, 2])
+    model = build_slice(classify_component(make_permutation([1, 3, 2, 4]), w), w)
+    model.__dict__["closed_equations"] = (*model.closed_equations, {})  # the cached equations
+    verdict = verify_slice(model, trials=3, seed=101)
+    assert (verdict.tangent_ok, verdict.dim_ok, verdict.equivalence_ok) == (False, True, True)
+    assert verdict.failures == ("tangent: a closed equation is not a homogeneous quadric",)
+
+
 def test_each_pair_fact_is_built_once_per_model(monkeypatch):
     """Free coordinates, w's rank conditions and the chart: once per component pair.
 
@@ -633,7 +663,11 @@ def test_verify_slice_needs_a_component():
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_vacuous_trials_are_refused(monkeypatch, trials):
-    """No trials would check nothing: both entry points refuse before any work."""
+    """No trials would check nothing: every entry point refuses before any work.
+
+    ``verify_permutation`` refuses before the smoothness test, for a smooth
+    w as for a singular one.
+    """
     w = make_permutation([4, 2, 3, 1])
     model = build_slice(classify_component(make_permutation([2, 1, 4, 3]), w), w)
 
@@ -641,11 +675,16 @@ def test_vacuous_trials_are_refused(monkeypatch, trials):
         raise AssertionError("work started")
 
     monkeypatch.setattr(schubsing.slices, "_rng", no_work)
-    monkeypatch.setattr(schubsing.sweep, "_verify_chunk", no_work)
-    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+    for name in ("_verify_chunk", "_verify", "is_smooth", "enumerate_components"):
+        monkeypatch.setattr(schubsing.sweep, name, no_work)
+    refused = pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}")
+    with refused:
         verify_slice(model, trials=trials)
-    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+    with refused:
         verify_all(4, trials=trials)
+    for u in (make_permutation([2, 1, 3]), w):
+        with refused:
+            verify_permutation(u, trials=trials)
 
 
 def test_verify_slice_builds_no_flag_per_point(monkeypatch):
@@ -664,9 +703,8 @@ def test_sampler_violation_is_a_witness(monkeypatch):
     c = classify_component(make_permutation([1, 3, 2, 4]), w)
     with pytest.raises(SliceStructureError, match="violated its own equation"):
         sample_cone(build_slice(c, w), 1, seed=101)
-    record = verify_permutation(w)
-    assert record["ok"] is False
-    witnesses = _record_failures(record)
+    record, witnesses = _verify(w, DEFAULT_TRIALS, DEFAULT_SEED)
+    assert record == verify_permutation(w) and record["ok"] is False
     assert [(x["v"], x["check"]) for x in witnesses] == [("1,3,2,4", "slice-structure")]
     assert "violated its own equation" in witnesses[0]["detail"]
 

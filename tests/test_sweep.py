@@ -1,5 +1,7 @@
 """Failure witnesses of the exhaustive sweep: each check, its row, its order."""
 
+import json
+
 import pytest
 
 import schubsing.slices
@@ -71,3 +73,24 @@ def test_report_of_a_planted_failure_exits_1(monkeypatch, capsys):
         assert main(["report", w]) == 1
     assert main(["report", "2143"]) == 0
     capsys.readouterr()
+
+
+def _extra(c, w, trials, seed):
+    return {"extra_ok": False}, [("extra", f"planted on {c.ctype}")]
+
+
+def test_an_added_component_check_reaches_records_and_witnesses(monkeypatch, capsys):
+    """The component check list is the one place a check is named."""
+    checks = (*schubsing.sweep._COMPONENT_CHECKS, _extra)
+    monkeypatch.setattr(schubsing.sweep, "_COMPONENT_CHECKS", checks)
+    assert main(["report", "4231"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert [(e["v"], e["kl_ok"], e["extra_ok"]) for e in record["components"]] == [
+        ("2,1,4,3", True, False)
+    ]
+    rows = [(x["w"], x["v"], x["check"], x["detail"]) for x in verify_all(4)["failure_witnesses"]]
+    assert rows == [
+        ("3,4,1,2", "1,3,2,4", "extra", "planted on 3412*"),
+        ("4,2,3,1", "2,1,4,3", "extra", "planted on 4231"),
+    ]
+
