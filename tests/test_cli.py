@@ -427,6 +427,59 @@ def _run_python(*argv):
     )
 
 
+_N20_BLOCK = ",".join(map(str, [*range(11, 21), *range(1, 11)]))
+_N7_ONLY = pytest.mark.skipif(
+    not os.environ.get("SCHUBSING_N7"), reason="n = 9 queries run only with SCHUBSING_N7=1"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("kl", "3,4,8,1,6,5,2,7", "3,6,8,1,7,4,2,5"), "94137df6f313f033fabd8dffa7c6e6a2"),
+        (("slice", "3,4,8,1,6,5,2,7", "3,6,8,1,7,4,2,5"), "bb9488ada1821c292d3f0fb658b1b03e"),
+        (("report", "3,6,8,1,7,4,2,5"), "66ed381dd59101c726308481abb6bd27"),
+        (("slice", "3,6,4,1,9,2,8,7,5", "3,6,8,1,9,4,7,2,5"), "462fe1593030b5c5cf0abd3975d4a4d4"),
+        (("singular-locus", "45312"), "ac50674d99ddcaf45f5eac42edaa8abf"),
+        (("singular-locus", "35142"), "399ec581c0a7763653fd86f73b3c3e61"),
+        (("singular-locus", _N20_BLOCK), "fb45d0ce60be385711014a2e42496588"),
+        pytest.param(
+            ("kl", "1,3,2,5,4,7,6,9,8", "3,6,8,1,9,4,7,2,5"),
+            "237534d62f2caea5803fb224f9634f21",
+            marks=_N7_ONLY,
+        ),
+        pytest.param(
+            ("report", "3,6,8,1,9,4,7,2,5"), "90a064de552fc096ffae8383928cdf39", marks=_N7_ONLY
+        ),
+    ],
+)
+def test_readme_queries_are_pinned(argv, digest):
+    """README's query calls print the same bytes, each in a fresh process.
+
+    A fresh process keeps their groups and KL tables out of the tests that
+    check a fresh ``SymmetricGroup``.
+    """
+    proc = _run_python("-m", "schubsing", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("slice", "+2,1", "3412", "--trials", "10001"), "malformed permutation: '+2,1'"),
+        (("slice", "N21", "N21", "--trials", "10001"), "slice takes n <= 20, got n = 21"),
+        (("tangent", "+1", "N21"), "malformed permutation: '+1'"),
+        (("verify-all", "--n", "9", "--trials", "10001"), "--trials takes at most 10000, got 10001"),
+    ],
+)
+def test_input_errors_come_in_order(capsys, argv, error):
+    """A malformed permutation before the n cap, the n cap before the trials cap, then --n."""
+    n21 = ",".join(str(x) for x in range(1, 22))
+    code, out, err = run_cli(capsys, *(n21 if arg == "N21" else arg for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 DYING_WORKER = """
 import os, sys
 import schubsing.sweep
