@@ -6,7 +6,11 @@ All output is JSON with sorted keys, so repeated runs with the same
 arguments produce byte-identical bytes.  Exit codes: 0 on success, 1 when a
 verification reports failures, a component or its slice does not fit its
 family, or a ``verify-all`` worker process dies, 2 on usage errors.
-Commands raise on bad input; ``main`` alone writes the one ``error:`` line.
+
+``main`` is the one input gate: it parses the permutations a command takes
+(v first), refuses n past the query cap and then ``--trials`` past its cap,
+and only then runs the command on the parsed permutations.  Commands raise
+on bad input; ``main`` alone writes the one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -15,22 +19,26 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .components import (
     ClassificationError,
     SliceStructureError,
     components_from_patterns,
+    enumerate_components,
 )
 from .kl import kl_recursion
 from .patterns import find_patterns
-from .perms import Permutation, format_permutation, length, parse_permutation
+from .perms import Permutation, bruhat_leq, format_permutation, length, parse_permutation
 from .slices import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    SliceModel,
     SliceVerdict,
     build_slice,
     equation_strings,
-    slice_report,
+    pair_slice,
+    verify_slice,
 )
 from .sweep import WorkerCrashError, verify_all, verify_permutation
 from .tangent import tangent_dimension
@@ -75,22 +83,15 @@ def _poly_str(coefficients: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _check_n(command: str, *perms: Permutation) -> None:
-    """Raise ``ValueError`` if a permutation exceeds the query cap."""
-    n = max(p.n for p in perms)
-    if n > _QUERY_MAX_N:
-        raise ValueError(f"{command} takes n <= {_QUERY_MAX_N}, got n = {n}")
+def _slice_fields(model: SliceModel) -> dict:
+    """A slice's free coordinates and closed equations, as JSON."""
+    return {
+        "free": [list(cell) for cell in model.free],
+        "equations": equation_strings(model, model.closed_equations),
+    }
 
 
-def _check_trials(trials: int) -> None:
-    """Raise ``ValueError`` if --trials exceeds its cap."""
-    if trials > _TRIALS_MAX:
-        raise ValueError(f"--trials takes at most {_TRIALS_MAX}, got {trials}")
-
-
-def cmd_smooth(args: argparse.Namespace) -> int:
-    w = parse_permutation(args.w)
-    _check_n("smooth", w)
+def cmd_smooth(args: argparse.Namespace, w: Permutation) -> int:
     occurrences = find_patterns(w)
     _print(
         {
@@ -105,10 +106,7 @@ def cmd_smooth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tangent(args: argparse.Namespace) -> int:
-    v = parse_permutation(args.v)
-    w = parse_permutation(args.w)
-    _check_n("tangent", v, w)
+def cmd_tangent(args: argparse.Namespace, v: Permutation, w: Permutation) -> int:
     m, lw = tangent_dimension(v, w), length(w)
     _print(
         {
@@ -122,27 +120,18 @@ def cmd_tangent(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_singular_locus(args: argparse.Namespace) -> int:
-    w = parse_permutation(args.w)
-    _check_n("singular-locus", w)
+def cmd_singular_locus(args: argparse.Namespace, w: Permutation) -> int:
     entries = []
     for c in components_from_patterns(w):
-        model = build_slice(c, w)
         entry = c.json_fields()
         entry["kl"] = list(c.kl_closed_form())
-        entry["slice"] = {
-            "free": [list(cell) for cell in model.free],
-            "equations": equation_strings(model, model.closed_equations),
-        }
+        entry["slice"] = _slice_fields(build_slice(c, w))
         entries.append(entry)
     _print(entries)
     return 0
 
 
-def cmd_kl(args: argparse.Namespace) -> int:
-    v = parse_permutation(args.v)
-    w = parse_permutation(args.w)
-    _check_n("kl", v, w)
+def cmd_kl(args: argparse.Namespace, v: Permutation, w: Permutation) -> int:
     recursion = kl_recursion(v, w)  # also checks v <= w, and n <= 9
     closed = next(
         (c.kl_closed_form() for c in components_from_patterns(w) if c.v == v), None
@@ -160,30 +149,45 @@ def cmd_kl(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_slice(args: argparse.Namespace) -> int:
-    v = parse_permutation(args.v)
-    w = parse_permutation(args.w)
-    _check_n("slice", v, w)
-    _check_trials(args.trials)
-    report = slice_report(v, w, trials=args.trials, seed=args.seed)
-    report["v"] = format_permutation(v)
-    report["w"] = format_permutation(w)
-    _print(report)
-    verdict = report["verdict"]
-    return 0 if verdict is None or SliceVerdict(**verdict).ok else 1
+def cmd_slice(args: argparse.Namespace, v: Permutation, w: Permutation) -> int:
+    """The slice of a pair v <= w, verified when it is a component's.
+
+    A component pair gets its family's closed model and the verdict of the
+    slice checks; v = w gets the trivial slice with a vacuous verdict; any
+    other pair gets its free coordinates and the determinantal model only.
+    """
+    c = None
+    # v <= w is checked before the component search, which needs n <= 9.
+    if v != w and bruhat_leq(v, w):
+        c = next((c for c in enumerate_components(w) if c.v == v), None)
+    if c is None:
+        model = pair_slice(v, w)
+        verdict = SliceVerdict(True, True, True, True, True, samples=0) if v == w else None
+    else:
+        model = build_slice(c, w)
+        verdict = verify_slice(model, trials=args.trials, seed=args.seed)
+    _print(
+        {
+            "v": format_permutation(v),
+            "w": format_permutation(w),
+            "type": None if c is None else c.ctype,
+            **_slice_fields(model),
+            "determinantal_equations": equation_strings(
+                model, model.determinantal_equations
+            ),
+            "verdict": None if verdict is None else asdict(verdict),
+        }
+    )
+    return 0 if verdict is None or verdict.ok else 1
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    w = parse_permutation(args.w)
-    _check_n("report", w)
-    _check_trials(args.trials)
+def cmd_report(args: argparse.Namespace, w: Permutation) -> int:
     record = verify_permutation(w, trials=args.trials, seed=args.seed)
     _print(record)
     return 0 if record["ok"] else 1
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
     if not 2 <= args.n <= _VERIFY_MAX_N:
         raise ValueError(
             f"--n must be between 2 and {_VERIFY_MAX_N} (n = 8 waits on one recorded S_8 run)"
@@ -287,13 +291,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        # The one input gate: the permutations the command declares, v
+        # first, then the n cap, then the --trials cap, all before any work.
+        perms = [parse_permutation(vars(args)[name]) for name in ("v", "w") if name in vars(args)]
+        n = max((p.n for p in perms), default=0)
+        if n > _QUERY_MAX_N:
+            raise ValueError(f"{args.command} takes n <= {_QUERY_MAX_N}, got n = {n}")
+        if getattr(args, "trials", 0) > _TRIALS_MAX:
+            raise ValueError(f"--trials takes at most {_TRIALS_MAX}, got {args.trials}")
+        return args.func(args, *perms)
+    except (ValueError, ClassificationError, SliceStructureError, WorkerCrashError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ClassificationError, SliceStructureError, WorkerCrashError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

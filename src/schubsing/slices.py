@@ -42,7 +42,7 @@ kernel of :func:`in_schubert` and the oracle the tests hold the plan to.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
 from numbers import Rational
@@ -55,7 +55,6 @@ from .components import (
     Cone,
     SliceStructureError,
     draw_values,
-    enumerate_components,
 )
 from .linalg import (
     Poly,
@@ -92,13 +91,19 @@ __all__ = [
     "in_schubert",
     "mv_support",
     "pair_slice",
+    "check_trials",
     "sample_cone",
-    "slice_report",
     "verify_slice",
 ]
 
 DEFAULT_TRIALS = 50
 DEFAULT_SEED = 101
+
+
+def check_trials(trials: int) -> None:
+    """Refuse ``trials < 1``, which would check no slice, with ``ValueError``."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -553,8 +558,7 @@ def verify_slice(
     ``trials`` cone points and as many off-cone points are tested; fewer
     than one of each would check nothing, so ``trials < 1`` is a ``ValueError``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     c, w = model.component, model.w
     if c is None:
         raise ValueError("only a component's slice has checks to run")
@@ -596,39 +600,3 @@ def equation_strings(s: SliceModel, equations: Sequence[Poly]) -> list[str]:
     names = {i: f"m_{j}_{k}" for i, (j, k) in enumerate(s.free)}
     return [poly_to_string(eq, names) for eq in equations]
 
-
-def _verdict_dict(verdict: SliceVerdict) -> dict:
-    return {**asdict(verdict), "failures": list(verdict.failures)}
-
-
-def slice_report(
-    v: Permutation,
-    w: Permutation,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-) -> dict:
-    """JSON-ready slice description for a pair v <= w (CLI backend).
-
-    Component pairs get the full closed model and verdict; v = w gets the
-    trivial slice with a vacuous verdict; other pairs get free coordinates
-    and the determinantal model only (no closed model exists for them).
-    """
-    c = None
-    # v <= w is checked before the component search, which needs n <= 9.
-    if v != w and bruhat_leq(v, w):
-        c = next((c for c in enumerate_components(w) if c.v == v), None)
-    if c is None:
-        model = pair_slice(v, w)
-        verdict = SliceVerdict(True, True, True, True, True, samples=0) if v == w else None
-    else:
-        model = build_slice(c, w)
-        verdict = verify_slice(model, trials, seed)
-    return {
-        "free": [list(cell) for cell in model.free],
-        "type": None if model.component is None else model.component.ctype,
-        "equations": equation_strings(model, model.closed_equations),
-        "determinantal_equations": equation_strings(
-            model, model.determinantal_equations
-        ),
-        "verdict": None if verdict is None else _verdict_dict(verdict),
-    }

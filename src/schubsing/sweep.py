@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from itertools import islice, permutations
-from math import factorial
 from typing import Iterator
 
 from .components import Component, enumerate_components, verify_formulas
@@ -23,8 +22,10 @@ from .slices import (
     DEFAULT_TRIALS,
     SliceStructureError,
     build_slice,
+    check_trials,
     verify_slice,
 )
+from .symgroup import symmetric_group
 
 __all__ = [
     "WorkerCrashError",
@@ -116,8 +117,7 @@ def verify_permutation(
     ``trials < 1`` would check no slice and raises ``ValueError`` before any
     work.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     return _verify(w, trials, seed)[0]
 
 
@@ -155,12 +155,12 @@ def verify_all(
     S_n is cut into the same chunks whatever ``jobs`` is, so the report and,
     for n >= 7, the progress lines on stderr (one per chunk) do not depend
     on it.  With ``jobs > 1`` a dead worker raises :class:`WorkerCrashError`.
-    ``trials < 1`` would check no slice and raises ``ValueError`` before any
-    work.
+    ``trials < 1`` would check no slice, and ``symmetric_group`` refuses an n
+    out of its range: both raise ``ValueError`` before any work.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    total = factorial(n)
+    check_trials(trials)
+    # Built first, so that an n out of range is refused before any task or worker exists.
+    total = symmetric_group(n).order
     step = max(1, total // 40)
     tasks = [(n, lo, min(lo + step, total), trials, seed) for lo in range(0, total, step)]
     parts = map(_verify_chunk, tasks) if jobs == 1 else _pool_map(jobs, tasks)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubsing.cli
-import schubsing.slices
 import schubsing.sweep
 from schubsing.cli import main
 from schubsing.components import ClassificationError, _Quadric
@@ -114,7 +113,7 @@ def test_slice_failing_verdict_exit_1(capsys, monkeypatch):
     def failing(*args, **kwargs):
         return SliceVerdict(True, True, False, True, True, samples=1)
 
-    monkeypatch.setattr(schubsing.slices, "verify_slice", failing)
+    monkeypatch.setattr(schubsing.cli, "verify_slice", failing)
     code, out, _ = run_cli(capsys, "slice", "1324", "3412", "--trials", "1")
     assert code == 1
     assert json.loads(out)["verdict"]["containment_ok"] is False
@@ -191,6 +190,24 @@ def test_only_main_writes_to_stderr():
     assert all(id(node) in inside for node in stderr), [node.lineno for node in stderr]
 
 
+def test_only_main_reads_the_input():
+    """``main`` alone parses the permutations and applies the n and --trials caps."""
+    tree = ast.parse(inspect.getsource(schubsing.cli))
+    main_def = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    inside = set(map(id, ast.walk(main_def)))
+    gate = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and node.id in ("parse_permutation", "_QUERY_MAX_N", "_TRIALS_MAX")
+    ]
+    assert {node.id for node in gate} == {"parse_permutation", "_QUERY_MAX_N", "_TRIALS_MAX"}
+    assert all(id(node) in inside for node in gate), [node.lineno for node in gate]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -218,7 +235,7 @@ def test_nonpositive_trials_and_jobs_exit_2(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv, target",
     [
-        (("slice", "1324", "3412"), "slice_report"),
+        (("slice", "1324", "3412"), "verify_slice"),
         (("report", "3412"), "verify_permutation"),
         (("verify-all", "--n", "4"), "verify_all"),
     ],
@@ -307,7 +324,10 @@ def test_kl_slice_report_n_cap(capsys, monkeypatch):
     for name in (
         "kl_recursion",
         "components_from_patterns",
-        "slice_report",
+        "bruhat_leq",
+        "enumerate_components",
+        "pair_slice",
+        "verify_slice",
         "verify_permutation",
     ):
         monkeypatch.setattr(f"schubsing.cli.{name}", no_work)
@@ -470,7 +490,10 @@ def test_readme_queries_are_pinned(argv, digest):
         (("slice", "+2,1", "3412", "--trials", "10001"), "malformed permutation: '+2,1'"),
         (("slice", "N21", "N21", "--trials", "10001"), "slice takes n <= 20, got n = 21"),
         (("tangent", "+1", "N21"), "malformed permutation: '+1'"),
-        (("verify-all", "--n", "9", "--trials", "10001"), "--trials takes at most 10000, got 10001"),
+        (
+            ("verify-all", "--n", "9", "--trials", "10001"),
+            "--trials takes at most 10000, got 10001",
+        ),
     ],
 )
 def test_input_errors_come_in_order(capsys, argv, error):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import itertools
+import json
 import os
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 import schubsing.slices
 import schubsing.sweep
+from schubsing.cli import main
 from schubsing.components import (
     QuadricComponent,
     RectangleComponent,
@@ -47,7 +49,6 @@ from schubsing.slices import (
     mv_support,
     pair_slice,
     sample_cone,
-    slice_report,
     verify_slice,
 )
 from schubsing.sweep import _verify, component_pairs, verify_all, verify_permutation
@@ -877,18 +878,23 @@ def test_slice_model_is_frozen():
 # reports
 
 
-def test_slice_report_equal_pair():
-    v = make_permutation([2, 1, 4, 3])
-    report = slice_report(v, v)
+def run_slice(capsys, *argv):
+    """Exit code and parsed stdout of the CLI's ``slice`` command."""
+    code = main(["slice", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_slice_report_equal_pair(capsys):
+    code, report = run_slice(capsys, "2143", "2143")
+    assert code == 0
     assert report["free"] == []
     assert report["type"] is None
     assert report["verdict"]["samples"] == 0
 
 
-def test_slice_report_component_pair():
-    report = slice_report(
-        make_permutation([2, 1, 4, 3]), make_permutation([4, 2, 3, 1]), trials=10
-    )
+def test_slice_report_component_pair(capsys):
+    code, report = run_slice(capsys, "2143", "4231", "--trials", "10")
+    assert code == 0
     assert report["type"] == "4231"
     assert report["equations"] == ["m_1_3*m_2_4 - m_1_4*m_2_3"]
     assert all(
@@ -897,15 +903,16 @@ def test_slice_report_component_pair():
     )
 
 
-def test_slice_report_non_component_pair():
-    report = slice_report(make_permutation([1, 2, 3, 4]), make_permutation([4, 2, 3, 1]))
+def test_slice_report_non_component_pair(capsys):
+    code, report = run_slice(capsys, "1234", "4231")
+    assert code == 0
     assert report["type"] is None
     assert report["verdict"] is None
     assert report["equations"] == []
     assert report["determinantal_equations"]
 
 
-def test_slice_report_builds_the_interval_mask_once(monkeypatch):
+def test_slice_report_builds_the_interval_mask_once(capsys, monkeypatch):
     """The component search reads w's interval once, as the sweep does."""
     masks = []
     real = SymmetricGroup.lower_mask
@@ -915,11 +922,15 @@ def test_slice_report_builds_the_interval_mask_once(monkeypatch):
         return real(self, wi)
 
     monkeypatch.setattr(SymmetricGroup, "lower_mask", counted)
-    report = slice_report(make_permutation([2, 1, 4, 3]), make_permutation([4, 2, 3, 1]), trials=3)
+    code, report = run_slice(capsys, "2143", "4231", "--trials", "3")
+    assert code == 0
     assert report["type"] == "4231"
     assert len(masks) == 2  # w's interval, then the one component's
 
 
-def test_slice_report_incomparable_raises():
-    with pytest.raises(ValueError):
-        slice_report(make_permutation([2, 1, 4, 3]), make_permutation([1, 3, 2, 4]))
+def test_slice_report_incomparable_raises(capsys):
+    """The ``ValueError`` becomes one ``error:`` line and exit 2."""
+    code = main(["slice", "2143", "1324"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: (2, 1, 4, 3) is not Bruhat-below (1, 3, 2, 4)\n"

@@ -94,3 +94,16 @@ def test_an_added_component_check_reaches_records_and_witnesses(monkeypatch, cap
         ("4,2,3,1", "2,1,4,3", "extra", "planted on 4231"),
     ]
 
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [0, -1, 10])
+def test_verify_all_refuses_n_out_of_range_before_any_work(monkeypatch, n, jobs):
+    """The group's range check fires before any chunk is built or any worker starts."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(schubsing.sweep, "_verify_chunk", no_work)
+    with pytest.raises(ValueError, match=f"n must be between 1 and 9, got {n}$"):
+        verify_all(n, jobs=jobs)
