@@ -84,6 +84,7 @@ __all__ = [
     "SliceStructureError",
     "SliceVerdict",
     "build_slice",
+    "check_trials",
     "determinantal_model",
     "embed_point",
     "equation_strings",
@@ -91,7 +92,6 @@ __all__ = [
     "in_schubert",
     "mv_support",
     "pair_slice",
-    "check_trials",
     "sample_cone",
     "verify_slice",
 ]
@@ -599,4 +599,3 @@ def equation_strings(s: SliceModel, equations: Sequence[Poly]) -> list[str]:
     """Equations over the slice's free coordinates, named ``m_j_k``."""
     names = {i: f"m_{j}_{k}" for i, (j, k) in enumerate(s.free)}
     return [poly_to_string(eq, names) for eq in equations]
-

@@ -174,16 +174,21 @@ def test_verify_all_n_guard(capsys, monkeypatch):
         )
 
 
-def test_only_main_writes_to_stderr():
-    """Commands raise; ``main`` alone turns an error into its ``error:`` line and exit code."""
+def _cli_nodes():
+    """Every node of ``cli.py``'s syntax tree, and the ids of those inside ``main``."""
     tree = ast.parse(inspect.getsource(schubsing.cli))
     main_def = next(
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
     )
-    inside = set(map(id, ast.walk(main_def)))
+    return list(ast.walk(tree)), set(map(id, ast.walk(main_def)))
+
+
+def test_only_main_writes_to_stderr():
+    """Commands raise; ``main`` alone turns an error into its ``error:`` line and exit code."""
+    nodes, inside = _cli_nodes()
     stderr = [
         node
-        for node in ast.walk(tree)
+        for node in nodes
         if isinstance(node, ast.Attribute) and node.attr == "stderr"
     ]
     assert stderr
@@ -192,14 +197,10 @@ def test_only_main_writes_to_stderr():
 
 def test_only_main_reads_the_input():
     """``main`` alone parses the permutations and applies the n and --trials caps."""
-    tree = ast.parse(inspect.getsource(schubsing.cli))
-    main_def = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
-    )
-    inside = set(map(id, ast.walk(main_def)))
+    nodes, inside = _cli_nodes()
     gate = [
         node
-        for node in ast.walk(tree)
+        for node in nodes
         if isinstance(node, ast.Name)
         and isinstance(node.ctx, ast.Load)
         and node.id in ("parse_permutation", "_QUERY_MAX_N", "_TRIALS_MAX")
