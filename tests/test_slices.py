@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -24,6 +25,7 @@ from schubsing.linalg import poly_canonical, poly_eval, poly_var, reduce_row, sy
 from schubsing.perms import (
     Permutation,
     bruhat_leq,
+    format_permutation,
     inverse,
     length,
     make_permutation,
@@ -253,6 +255,19 @@ def test_closed_equations_homogeneous_quadratic(n):
     for w, c in component_pairs(n):
         model = build_slice(c, w)
         assert all(poly_is_homogeneous_quadratic(eq) for eq in model.closed_equations)
+
+
+def test_closed_equations_are_pinned():
+    """The closed equations of every component pair of S_2..S_6, as printed strings."""
+    rows = []
+    for n in range(2, 7):
+        for w, c in component_pairs(n):
+            m = build_slice(c, w)
+            eqs = equation_strings(m, m.closed_equations)
+            rows.append([format_permutation(w), format_permutation(c.v), eqs])
+    assert len(rows) == 656
+    digest = hashlib.md5(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "b3d05e8e7c09fba425d08a096a75a016"
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +563,12 @@ def test_verify_slice_all_pairs(n):
     for w, c in component_pairs(n):
         verdict = verify_slice(build_slice(c, w), trials=25, seed=101)
         assert verdict.ok, (w.values, c.v.values, verdict.failures)
+
+
+def test_a_verdict_is_ok_exactly_when_it_has_no_failure():
+    for w, c in component_pairs(4):
+        verdict = verify_slice(build_slice(c, w), trials=5, seed=101)
+        assert verdict.ok == (not verdict.failures), (w.values, c.v.values)
 
 
 @pytest.mark.parametrize(

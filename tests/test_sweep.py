@@ -67,6 +67,22 @@ def test_each_check_names_its_failure(monkeypatch, jobs):
     assert report["failures"] == len(PLANTED) and report["ok"] is False
 
 
+def test_each_planted_slice_verdict_is_ok_exactly_when_it_has_no_failure(monkeypatch):
+    _plant_one_failure_per_check(monkeypatch)
+    verdicts = []
+    real = schubsing.sweep.verify_slice
+
+    def recorded(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(schubsing.sweep, "verify_slice", recorded)
+    verify_all(4)
+    assert any(v.failures for v in verdicts)
+    for verdict in verdicts:
+        assert verdict.ok == (not verdict.failures), verdict.failures
+
+
 def test_report_of_a_planted_failure_exits_1(monkeypatch, capsys):
     _plant_one_failure_per_check(monkeypatch)
     for w in ("1243", "3412", "4231"):
