@@ -19,7 +19,6 @@ from .kl import kl_recursion
 from .patterns import find_patterns, is_smooth
 from .perms import Permutation, make_permutation, parse_permutation
 from .slices import (
-    FlagMatrix,
     SliceStructureError,
     build_slice,
     in_schubert,
@@ -37,7 +36,6 @@ BACKEND = "python"
 __all__ = [
     "BACKEND",
     "ClassificationError",
-    "FlagMatrix",
     "Permutation",
     "SliceStructureError",
     "__version__",

@@ -29,7 +29,7 @@ from .components import (
 )
 from .kl import kl_recursion
 from .patterns import find_patterns
-from .perms import Permutation, bruhat_leq, format_permutation, length, parse_permutation
+from .perms import Permutation, bruhat_leq, format_permutation, parse_permutation
 from .slices import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -107,7 +107,7 @@ def cmd_smooth(args: argparse.Namespace, w: Permutation) -> int:
 
 
 def cmd_tangent(args: argparse.Namespace, v: Permutation, w: Permutation) -> int:
-    m, lw = tangent_dimension(v, w), length(w)
+    m, lw = tangent_dimension(v, w), w.length
     _print(
         {
             "v": format_permutation(v),

@@ -73,8 +73,9 @@ from .linalg import (
     poly_mul,
     poly_scale,
     poly_var,
+    sym_det,
 )
-from .perms import Permutation, bruhat_leq, format_permutation, inverse, length
+from .perms import Permutation, bruhat_leq, format_permutation, inverse
 from .tangent import component_counts, tangent_dimension
 
 __all__ = [
@@ -212,17 +213,11 @@ class _Grid(NamedTuple):
         # by block, then the pairs across blocks.
         col_pairs = [pair for block in self.blocks for pair in combinations(block, 2)]
         col_pairs += [pair for b1, b2 in combinations(self.blocks, 2) for pair in product(b1, b2)]
-
-        def entry(signed: tuple[int, int]) -> Poly:
-            # The rank-one matrix holds sign.x_i at each cell.
-            return poly_scale(poly_var(signed[1]), signed[0])
-
+        # The rank-one matrix holds sign.x_i at each cell.
+        matrix = [[poly_scale(poly_var(i), sign) for sign, i in line] for line in self.cells]
         return [
-            dict(poly_canonical(poly_add(
-                poly_mul(entry(top[c1]), entry(bottom[c2])),
-                poly_scale(poly_mul(entry(top[c2]), entry(bottom[c1])), -1),
-            )))
-            for top, bottom in combinations(self.cells, 2)
+            dict(poly_canonical(sym_det([[top[c1], top[c2]], [bottom[c1], bottom[c2]]])))
+            for top, bottom in combinations(matrix, 2)
             for c1, c2 in col_pairs
         ]
 
@@ -482,7 +477,7 @@ def enumerate_components(w: Permutation) -> list[Component]:
     [((1, 4, 3, 2, 5), '3412*', 1)]
     """
     comps = components_from_patterns(w)
-    lw = length(w)
+    lw = w.length
     found = [(c.v.values, lw + c.excess) for c in comps]
     counted = [(v.values, dim) for v, dim in component_counts(w)]
     if found != counted:
@@ -524,7 +519,7 @@ def components_from_patterns(w: Permutation) -> list[Component]:
     """
     vals = w.values
     n = w.n
-    lw = length(w)
+    lw = w.length
     out: list[Component] = []
 
     def inside(p0: int, p1: int, v0: int, v1: int) -> list[_Dot]:
@@ -537,7 +532,7 @@ def components_from_patterns(w: Permutation) -> list[Component]:
         for p, x in zip(targets, images):
             v_vals[p - 1] = x
         v = Permutation(tuple(v_vals))
-        lv = length(v)
+        lv = v.length
         c = family(v=v, l=side_l, m=side_m)
         if lw - lv != c.codim:
             raise ClassificationError(
@@ -626,5 +621,5 @@ def verify_formulas(c: Component, w: Permutation) -> bool:
     :func:`enumerate_components` matched the excess to the kernel's count;
     here m(w, v) comes from the oracle :func:`schubsing.tangent.tangent_dimension`.
     """
-    lw = length(w)
-    return lw - length(c.v) == c.codim and tangent_dimension(c.v, w) - lw == c.excess
+    lw = w.length
+    return lw - c.v.length == c.codim and tangent_dimension(c.v, w) - lw == c.excess

@@ -27,7 +27,6 @@ __all__ = [
     "format_permutation",
     "identity",
     "inverse",
-    "length",
     "longest_element",
     "make_permutation",
     "parse_permutation",
@@ -45,6 +44,8 @@ class Permutation:
     (4, 1)
     >>> w.n
     4
+    >>> w.length
+    5
     """
 
     values: tuple[int, ...]
@@ -87,7 +88,10 @@ class Permutation:
 
     @cached_property
     def length(self) -> int:
-        """Number of inversions, counted once per object as ``rank_table`` is."""
+        """Number of inversions, i.e. the dimension of the Schubert cell of w.
+
+        Counted once per object, as ``rank_table`` is.
+        """
         vals = self.values
         return sum(vals[i] > vals[j] for i in range(self.n) for j in range(i + 1, self.n))
 
@@ -153,15 +157,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     if u.n != v.n:
         raise ValueError(f"size mismatch: {u.n} vs {v.n}")
     return Permutation(tuple(u.values[x - 1] for x in v.values))
-
-
-def length(w: Permutation) -> int:
-    """Number of inversions, i.e. the dimension of the Schubert cell of w.
-
-    >>> length(Permutation((4, 2, 3, 1)))
-    5
-    """
-    return w.length
 
 
 def rank_table(w: Permutation) -> tuple[tuple[int, ...], ...]:

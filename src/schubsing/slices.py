@@ -24,8 +24,9 @@ below is exact: no floating point, and no rational arithmetic either.
 
 X_w's binding rank conditions have one enumeration, :func:`_caps`.
 Membership has one kernel, :func:`_member`, fed int rows and conditions row
-by row; :func:`in_schubert` scales a flag's rows to ints and feeds them in
-with all of w's conditions.  A pair's facts live on one :class:`SliceModel`
+by row; :func:`in_schubert` takes a flag as its n generator rows of ints
+or fractions, scales them to ints and feeds them in with all of w's
+conditions, and :func:`embed_point` gives a chart point's flag as such rows.  A pair's facts live on one :class:`SliceModel`
 (:func:`build_slice` for a component, :func:`pair_slice` otherwise), which
 builds its chart on first read in one pass, :func:`_chart`: a template (v's
 base rows, each cut after its last free column, and their free slots) and
@@ -34,8 +35,8 @@ The minors, :func:`embed_point` and :func:`verify_slice` all read that one
 chart.  The last tests every cone and off-cone point through a plan built
 once per model from the chart (:func:`_plan`): a fixed chart row is a unit
 row, so it lowers the caps it counts in and deletes its column, and only
-the rows with free coordinates are reduced, with no :class:`FlagMatrix`
-and no rank table per point.  :func:`_member` on all rows stays the
+the rows with free coordinates are reduced, with no flag of n rows and
+no rank table per point.  :func:`_member` on all rows stays the
 kernel of :func:`in_schubert` and the oracle the tests hold the plan to.
 """
 
@@ -79,7 +80,6 @@ from .perms import (
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_TRIALS",
-    "FlagMatrix",
     "SliceModel",
     "SliceStructureError",
     "SliceVerdict",
@@ -104,17 +104,6 @@ def check_trials(trials: int) -> None:
     """Refuse ``trials < 1``, which would check no slice, with ``ValueError``."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-@dataclass(frozen=True)
-class FlagMatrix:
-    """A full flag: row j holds the coordinates of the j-th flag generator.
-
-    Entries are ints; :func:`in_schubert` also accepts rational entries.
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -163,13 +152,8 @@ class SliceVerdict:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.tangent_ok
-            and self.dim_ok
-            and self.containment_ok
-            and self.exclusion_ok
-            and self.equivalence_ok
-        )
+        """Every check passed: a failed check always leaves its note."""
+        return not self.failures
 
 
 def mv_support(v: Permutation) -> list[Cell]:
@@ -298,33 +282,36 @@ def pair_slice(v: Permutation, w: Permutation) -> SliceModel:
     return SliceModel(v, w, None, tuple(free_coordinates(v, w)))
 
 
-def embed_point(s: SliceModel, assignment: Sequence[int]) -> FlagMatrix:
-    """Fill the chart of v with one value per free coordinate (else ``ValueError``)."""
+def embed_point(s: SliceModel, assignment: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The flag of the chart point with one value per free coordinate, as its n rows.
+
+    Row j holds the coordinates of the j-th flag generator.  An assignment
+    of the wrong length raises ``ValueError``.
+    """
     if len(assignment) != len(s.free):
         raise ValueError(f"{len(s.free)} free coordinates, got {len(assignment)} values")
     n = s.v.n
     rows = _chart_rows(s.chart[0], assignment)
-    return FlagMatrix(n, tuple(tuple(row) + (0,) * (n - len(row)) for row in rows))
+    return tuple(tuple(row) + (0,) * (n - len(row)) for row in rows)
 
 
-def in_schubert(w: Permutation, flag: FlagMatrix) -> bool:
-    """Exact membership of a flag in X_w by rank conditions.
+def in_schubert(w: Permutation, flag: Sequence[Sequence[Rational]]) -> bool:
+    """Exact membership in X_w, by rank conditions, of the flag with these rows.
 
-    For every p, q the span of the first p generators must meet the span of
-    the first q coordinate vectors in dimension at least r_w(p, q).  Rational
-    rows are scaled to ints, then run through :func:`_member`.  A flag of
-    the wrong size, with an entry that is not rational (a float, a string),
-    or whose rows are linearly dependent (so not a flag), raises
-    ``ValueError``.
+    Row j holds the coordinates of the j-th flag generator, as ints or
+    fractions.  For every p, q the span of the first p generators must meet
+    the span of the first q coordinate vectors in dimension at least
+    r_w(p, q).  Rational rows are scaled to ints, then run through
+    :func:`_member`.  A flag that is not n rows of n entries, with an entry
+    that is not rational (a float, a string), or whose rows are linearly
+    dependent (so not a flag), raises ``ValueError``.
     """
     n = w.n
-    if flag.n != n:
-        raise ValueError(f"size mismatch: flag {flag.n} vs permutation {n}")
-    if len(flag.rows) != n or any(len(row) != n for row in flag.rows):
+    if len(flag) != n or any(len(row) != n for row in flag):
         raise ValueError(f"a flag in dimension {n} needs {n} rows of {n} entries")
-    if not all(isinstance(x, Rational) for row in flag.rows for x in row):
+    if not all(isinstance(x, Rational) for row in flag for x in row):
         raise ValueError("flag entries must be ints or fractions")
-    rows = [integer_row(row) for row in flag.rows]
+    rows = [integer_row(row) for row in flag]
     inside = _member(_caps(w), rows)
     # _member stops at the first broken condition, before it has seen every
     # row; only then does independence need a rank computation of its own.
@@ -474,7 +461,7 @@ def _membership(model: SliceModel):
     """Exact membership in X_w of the slice's chart points, as a predicate.
 
     It runs the steps of :func:`_plan`, so a point costs one int elimination
-    of the free rows a live condition reads and no :class:`FlagMatrix`.  A
+    of the free rows a live condition reads and builds no flag of n rows.  A
     fixed row deletes its column: each stored pivot loses that entry, and
     the pivot whose lead sat there is reduced again.  Chart rows are
     independent, and so are the free rows once the fixed columns are

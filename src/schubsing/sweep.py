@@ -16,7 +16,7 @@ from typing import Iterator
 from .components import Component, enumerate_components, verify_formulas
 from .kl import kl_recursion
 from .patterns import is_smooth
-from .perms import Permutation, format_permutation, length
+from .perms import Permutation, format_permutation
 from .slices import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -98,7 +98,7 @@ def _verify(w: Permutation, trials: int, seed: int) -> tuple[dict, list[dict]]:
     witnesses = [{"w": name, "v": v, "check": check, "detail": d} for v, check, d in rows]
     record = {
         "w": name,
-        "length": length(w),
+        "length": w.length,
         "smooth_pattern": smooth_pattern,
         "smooth_tangent": smooth_tangent,
         "components": components,

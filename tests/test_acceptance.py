@@ -25,7 +25,7 @@ from schubsing.components import (
 )
 from schubsing.kl import kl_recursion
 from schubsing.patterns import is_smooth
-from schubsing.perms import Permutation, length, make_permutation
+from schubsing.perms import Permutation, make_permutation
 from schubsing.slices import (
     DEFAULT_SEED,
     build_slice,
@@ -185,7 +185,7 @@ def test_criterion_4_free_count_identity(capsys):
     for n in SWEEP_SIZES:
         for w, c in component_pairs(n):
             pairs += 1
-            expected = tangent_dimension(c.v, w) - length(c.v)
+            expected = tangent_dimension(c.v, w) - c.v.length
             if len(free_coordinates(c.v, w)) != expected:
                 failures.append((w.values, c.v.values))
     ok = pairs > 0 and not failures
@@ -248,7 +248,7 @@ def test_criterion_6_spot_values(capsys):
         if (c.ctype, c.l, c.codim, c.excess) != ("3412*", 0, 3, 1):
             problems.append("3412 classification wrong")
         verdict = verify_slice(build_slice(c, w), trials=20, seed=DEFAULT_SEED)
-        if not verdict.dim_ok or length(w) - length(c.v) != 3:
+        if not verdict.dim_ok or w.length - c.v.length != 3:
             problems.append("3412 quadric cone dimension is not 3")
 
     ok = not problems
@@ -269,10 +269,7 @@ def test_criterion_7_s4_smooth_count(capsys):
     assert count == 22
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHUBSING_N7"),
-    reason="extended S_7 sweep runs only with SCHUBSING_N7=1",
-)
+@pytest.mark.n7
 def test_criterion_8_extended_sweep(capsys):
     """Criteria 1-5 over all of S_7 (flag-gated; minutes of runtime)."""
     start = time.perf_counter()

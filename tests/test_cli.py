@@ -111,7 +111,9 @@ def test_slice_command(capsys):
 
 def test_slice_failing_verdict_exit_1(capsys, monkeypatch):
     def failing(*args, **kwargs):
-        return SliceVerdict(True, True, False, True, True, samples=1)
+        return SliceVerdict(
+            True, True, False, True, True, samples=1, failures=("containment: planted",)
+        )
 
     monkeypatch.setattr(schubsing.cli, "verify_slice", failing)
     code, out, _ = run_cli(capsys, "slice", "1324", "3412", "--trials", "1")
@@ -449,9 +451,6 @@ def _run_python(*argv):
 
 
 _N20_BLOCK = ",".join(map(str, [*range(11, 21), *range(1, 11)]))
-_N7_ONLY = pytest.mark.skipif(
-    not os.environ.get("SCHUBSING_N7"), reason="n = 9 queries run only with SCHUBSING_N7=1"
-)
 
 
 @pytest.mark.parametrize(
@@ -467,10 +466,12 @@ _N7_ONLY = pytest.mark.skipif(
         pytest.param(
             ("kl", "1,3,2,5,4,7,6,9,8", "3,6,8,1,9,4,7,2,5"),
             "237534d62f2caea5803fb224f9634f21",
-            marks=_N7_ONLY,
+            marks=pytest.mark.n7,
         ),
         pytest.param(
-            ("report", "3,6,8,1,9,4,7,2,5"), "90a064de552fc096ffae8383928cdf39", marks=_N7_ONLY
+            ("report", "3,6,8,1,9,4,7,2,5"),
+            "90a064de552fc096ffae8383928cdf39",
+            marks=pytest.mark.n7,
         ),
     ],
 )

@@ -27,7 +27,7 @@ from schubsing.components import (
     verify_formulas,
 )
 from schubsing.patterns import is_smooth
-from schubsing.perms import Permutation, bruhat_leq, identity, length, make_permutation
+from schubsing.perms import Permutation, bruhat_leq, identity, make_permutation
 from schubsing.slices import free_coordinates
 from schubsing.sweep import component_pairs
 from schubsing.symgroup import SymmetricGroup
@@ -53,8 +53,8 @@ def reference_classify(v, w, dim):
     The answer is a :func:`route_key`: (d, e) fixes only the sum of the
     3412empty sides.
     """
-    lw = length(w)
-    d = lw - length(v)
+    lw = w.length
+    d = lw - v.length
     e = dim - lw
     if e <= 0:
         raise ClassificationError(f"v={v.values} is a smooth point of X_{w.values} (excess {e})")
@@ -257,8 +257,8 @@ def test_type_signatures(n):
 @pytest.mark.parametrize("n", [4, 5])
 def test_excess_matches_oracle(n):
     for w, c in component_pairs(n):
-        assert tangent_dimension(c.v, w) == length(w) + c.excess
-        assert c.codim == length(w) - length(c.v)
+        assert tangent_dimension(c.v, w) == w.length + c.excess
+        assert c.codim == w.length - c.v.length
 
 
 def test_s5_component_census():
@@ -307,7 +307,7 @@ def test_pattern_route_at_n12():
         for c in comps:
             seen.add(c.ctype)
             assert bruhat_leq(c.v, w)
-            assert tangent_dimension(c.v, w) - length(w) == c.excess
+            assert tangent_dimension(c.v, w) - w.length == c.excess
             c.fit_cone(free_coordinates(c.v, w))
         for first, second in itertools.permutations(comps, 2):
             assert not bruhat_leq(first.v, second.v), (w.values, first.v, second.v)

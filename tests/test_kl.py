@@ -16,7 +16,6 @@ from schubsing.perms import (
     bruhat_leq,
     identity,
     inverse,
-    length,
     longest_element,
     make_permutation,
 )
@@ -58,7 +57,7 @@ def test_short_intervals_are_trivial(n):
     """Degree bound: codimension at most 2 forces the constant polynomial."""
     for w in all_perms(n):
         for v in all_perms(n):
-            if bruhat_leq(v, w) and length(w) - length(v) <= 2:
+            if bruhat_leq(v, w) and w.length - v.length <= 2:
                 assert kl_recursion(v, w) == (1,)
 
 
@@ -69,7 +68,7 @@ def test_normalization_and_degree_bound(n):
             if not bruhat_leq(v, w):
                 continue
             poly = kl_recursion(v, w)
-            d = length(w) - length(v)
+            d = w.length - v.length
             assert poly[0] == 1
             assert poly[-1] != 0 or poly == (1,)
             assert all(c >= 0 for c in poly)

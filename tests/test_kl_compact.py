@@ -10,7 +10,6 @@ descent coset of w, s.v, the descents and the lift from
 polynomial for every pair, and the same mu-support for every y.
 """
 
-import os
 import time
 import tracemalloc
 from itertools import permutations
@@ -117,10 +116,7 @@ def test_compact_recursion_matches_dict_reference(n, fresh_memo):
     _check_against_reference(n)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHUBSING_N7"),
-    reason="the S_7 comparison runs only with SCHUBSING_N7=1",
-)
+@pytest.mark.n7
 def test_compact_recursion_matches_dict_reference_on_s7(fresh_memo, capsys):
     """All 3,550,919 pairs of S_7 (flag-gated: about 90 s and 270 MB peak RSS)."""
     start = time.perf_counter()

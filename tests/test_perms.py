@@ -15,7 +15,6 @@ from schubsing.perms import (
     format_permutation,
     identity,
     inverse,
-    length,
     longest_element,
     make_permutation,
     parse_permutation,
@@ -80,7 +79,7 @@ def test_call_is_one_indexed():
 
 def test_longest_element():
     assert longest_element(3).values == (3, 2, 1)
-    assert length(longest_element(5)) == 10
+    assert longest_element(5).length == 10
 
 
 def test_length_is_counted_once_per_object(monkeypatch):
@@ -95,7 +94,7 @@ def test_length_is_counted_once_per_object(monkeypatch):
 
     monkeypatch.setattr(cached, "func", counting)
     w = make_permutation([4, 2, 3, 1])
-    assert (length(w), length(w), w.length) == (5, 5, 5)
+    assert (w.length, w.length) == (5, 5)
     assert counted == [(4, 2, 3, 1)]
     counted.clear()
     # 120 w and 41 component points; 524 when length was recounted per call.
@@ -130,7 +129,7 @@ def test_inverse_involution(values):
 @given(perm_strategy)
 def test_length_of_inverse(values):
     w = Permutation(tuple(values))
-    assert length(w) == length(inverse(w))
+    assert w.length == inverse(w).length
 
 
 def test_compose_size_mismatch():
@@ -176,7 +175,7 @@ def test_length_complement_identity(n):
     w0 = longest_element(n)
     top = n * (n - 1) // 2
     for w in all_perms(n):
-        assert length(w) + length(compose(w0, w)) == top
+        assert w.length + compose(w0, w).length == top
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def _bruhat_by_covers(n):
     for i, v in enumerate(elems):
         for t in all_transpositions(n):
             vt = compose(v, t)
-            if length(vt) == length(v) + 1:
+            if vt.length == v.length + 1:
                 up[i].append(index[vt.values])
     reach = []
     for i in range(len(elems)):
@@ -246,7 +245,7 @@ def test_bruhat_length_strictly_monotone(n):
     for v in all_perms(n):
         for w in all_perms(n):
             if v != w and bruhat_leq(v, w):
-                assert length(v) < length(w)
+                assert v.length < w.length
 
 
 @given(perm_strategy)

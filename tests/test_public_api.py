@@ -22,7 +22,6 @@ PUBLIC = {
     "verify_slice",
     "verify_all",
     "Permutation",
-    "FlagMatrix",
     "ClassificationError",
     "SliceStructureError",
     "in_schubert",
@@ -44,7 +43,7 @@ def _readme_api_imports() -> set[str]:
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(schubsing.__all__) == len(PUBLIC) == 19
+    assert len(schubsing.__all__) == len(PUBLIC) == 18
     assert set(schubsing.__all__) == PUBLIC
 
 

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import random
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from schubsing.perms import (
     bruhat_leq,
     format_permutation,
     inverse,
-    length,
     make_permutation,
     rank_table,
 )
@@ -119,7 +117,7 @@ def test_free_coordinates_match_cell_by_cell_reference():
 def test_free_count_equals_tangent_excess_over_cell(n):
     for w, c in component_pairs(n):
         free = free_coordinates(c.v, w)
-        assert len(free) == tangent_dimension(c.v, w) - length(c.v)
+        assert len(free) == tangent_dimension(c.v, w) - c.v.length
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +268,12 @@ def test_closed_equations_are_pinned():
     assert digest == "b3d05e8e7c09fba425d08a096a75a016"
 
 
+def test_a_sign_flipped_in_a_closed_minor_is_caught(mutate):
+    mutate(_Grid, "equations", "[[top[c1], top[c2]]", "[[poly_scale(top[c1], -1), top[c2]]")
+    with pytest.raises(AssertionError):
+        test_closed_equations_are_pinned()
+
+
 # ---------------------------------------------------------------------------
 # membership
 
@@ -290,7 +294,7 @@ def test_membership_size_mismatch():
 @pytest.mark.parametrize("values", [(3, 2, 1), (1, 2, 3), (2, 1, 3)])
 def test_membership_rejects_zero_matrix(values):
     """The all-zero matrix is no flag, whatever w is."""
-    zero = schubsing.slices.FlagMatrix(3, ((0, 0, 0),) * 3)
+    zero = ((0, 0, 0),) * 3
     with pytest.raises(ValueError, match="linearly independent"):
         in_schubert(make_permutation(list(values)), zero)
 
@@ -304,31 +308,38 @@ def test_membership_rejects_zero_matrix(values):
     ],
 )
 def test_membership_rejects_misshapen_flags(rows):
-    flag = schubsing.slices.FlagMatrix(3, rows)
     for w in all_perms(3):
         with pytest.raises(ValueError, match="needs 3 rows of 3 entries"):
-            in_schubert(w, flag)
+            # Read through the module, so that a patched check is tested.
+            schubsing.slices.in_schubert(w, rows)
+
+
+def test_a_dropped_row_count_check_is_caught(mutate):
+    """Two rows of three entries pass the width check; w0 then has no condition to break."""
+    mutate(schubsing.slices, "in_schubert", "len(flag) != n or ", "")
+    with pytest.raises(pytest.fail.Exception):
+        test_membership_rejects_misshapen_flags(((1, 0, 0), (0, 1, 0)))
 
 
 @pytest.mark.parametrize("entry", [1.5, 1.0, "1", None, 1j])
 def test_membership_rejects_entries_that_are_not_rational(entry):
     """A float, string, None or complex entry is a ValueError, not an AttributeError."""
-    flag = schubsing.slices.FlagMatrix(2, ((entry, 1), (0, 1)))
+    flag = ((entry, 1), (0, 1))
     with pytest.raises(ValueError, match="entries must be ints or fractions"):
         in_schubert(make_permutation([2, 1]), flag)
     # Ints, bools and fractions are rational.
     for entry in (2, True, Fraction(3, 2)):
-        flag = schubsing.slices.FlagMatrix(2, ((entry, 1), (0, 1)))
+        flag = ((entry, 1), (0, 1))
         assert in_schubert(make_permutation([2, 1]), flag) is True
 
 
 def test_membership_rejects_dependent_rows_after_a_broken_condition():
     """Row 1 already breaks X_123's conditions; rows 1 and 2 are still dependent."""
-    flag = schubsing.slices.FlagMatrix(3, ((0, 0, 1), (0, 0, 2), (1, 0, 0)))
+    flag = ((0, 0, 1), (0, 0, 2), (1, 0, 0))
     with pytest.raises(ValueError, match="linearly independent"):
         in_schubert(make_permutation([1, 2, 3]), flag)
     # The same first row in a genuine flag is an answer, not an error.
-    flag = schubsing.slices.FlagMatrix(3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    flag = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert in_schubert(make_permutation([1, 2, 3]), flag) is False
     assert in_schubert(make_permutation([3, 2, 1]), flag) is True
 
@@ -344,12 +355,9 @@ def test_vertex_always_contained():
 def test_generic_flag_only_in_full_variety():
     rng = random.Random(7)
     n = 4
-    rows = tuple(
+    flag = tuple(
         tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n)
     )
-    from schubsing.slices import FlagMatrix
-
-    flag = FlagMatrix(n, rows)
     w0 = make_permutation([4, 3, 2, 1])
     assert in_schubert(w0, flag)
     hits = [w.values for w in all_perms(n) if w.values != w0.values and in_schubert(w, flag)]
@@ -711,9 +719,10 @@ def test_vacuous_trials_are_refused(monkeypatch, trials):
 
 def test_verify_slice_builds_no_flag_per_point(monkeypatch):
     def no_flags(*args):
-        raise AssertionError("verify_slice built a FlagMatrix")
+        raise AssertionError("verify_slice built or tested a flag of n rows")
 
-    monkeypatch.setattr(schubsing.slices, "FlagMatrix", no_flags)
+    for name in ("embed_point", "in_schubert", "_member"):
+        monkeypatch.setattr(schubsing.slices, name, no_flags)
     for w, c in component_pairs(4):
         assert verify_slice(build_slice(c, w), trials=5, seed=101).ok
 
@@ -821,10 +830,7 @@ def test_determinantal_model_matches_unexpanded_loop_on_every_pair():
         assert determinantal_model(pair_slice(c.v, w)) == unexpanded_minors(c.v, w), (c.v, w)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHUBSING_N7"),
-    reason="S_7 slice comparisons run only with SCHUBSING_N7=1",
-)
+@pytest.mark.n7
 def test_live_conditions_match_full_conditions_on_s7():
     """Both live-condition readers against their unpruned references, on S_7."""
     pairs = 0

@@ -9,6 +9,7 @@ import schubsing.sweep
 from schubsing.cli import main
 from schubsing.components import QuadricComponent, RectangleComponent, _Quadric
 from schubsing.perms import make_permutation
+from schubsing.slices import SliceVerdict
 from schubsing.sweep import verify_all
 
 
@@ -81,6 +82,12 @@ def test_each_planted_slice_verdict_is_ok_exactly_when_it_has_no_failure(monkeyp
     assert any(v.failures for v in verdicts)
     for verdict in verdicts:
         assert verdict.ok == (not verdict.failures), verdict.failures
+
+
+def test_an_ok_rule_ignoring_the_failures_is_caught(mutate, monkeypatch):
+    mutate(SliceVerdict, "ok", "return not self.failures", "return True")
+    with pytest.raises(AssertionError):
+        test_each_planted_slice_verdict_is_ok_exactly_when_it_has_no_failure(monkeypatch)
 
 
 def test_report_of_a_planted_failure_exits_1(monkeypatch, capsys):

@@ -11,7 +11,6 @@ read it as a string of binary digits, character v for v.
 
 import ast
 import inspect
-import os
 import random
 import sys
 import tracemalloc
@@ -21,7 +20,7 @@ from itertools import combinations, permutations
 import pytest
 
 from schubsing import kl, symgroup, tangent
-from schubsing.perms import Permutation, bruhat_leq, length
+from schubsing.perms import Permutation, bruhat_leq
 from schubsing.symgroup import MAX_N, SymmetricGroup, symmetric_group
 from schubsing.tangent import component_counts, tangent_dimension
 
@@ -106,10 +105,7 @@ def test_block_arrays_match_per_permutation_references(n):
     _assert_matches_references(n)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHUBSING_N7"),
-    reason="S_8 reference arrays are built only with SCHUBSING_N7=1",
-)
+@pytest.mark.n7
 def test_block_arrays_match_per_permutation_references_s8():
     _assert_matches_references(8)
 
@@ -359,7 +355,7 @@ def test_tangent_counts_agree_with_tangent_dimension():
 def test_lengths_array():
     group = symmetric_group(5)
     for vi, values in enumerate(permutations(range(1, 6))):
-        assert group.lengths[vi] == length(Permutation(values))
+        assert group.lengths[vi] == Permutation(values).length
 
 
 def test_group_size_guard():

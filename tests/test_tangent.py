@@ -3,7 +3,6 @@
 import ast
 import inspect
 import itertools
-import os
 import textwrap
 
 import pytest
@@ -17,7 +16,6 @@ from schubsing.perms import (
     compose,
     identity,
     inverse,
-    length,
     make_permutation,
 )
 from schubsing.sweep import component_pairs
@@ -38,14 +36,14 @@ def test_frozen_example_4231():
     w = make_permutation([4, 2, 3, 1])
     m = tangent_dimension(make_permutation([2, 1, 4, 3]), w)
     assert m == 6
-    assert m - length(w) == 1
+    assert m - w.length == 1
 
 
 def test_frozen_example_3412():
     w = make_permutation([3, 4, 1, 2])
     m = tangent_dimension(make_permutation([1, 3, 2, 4]), w)
     assert m == 5
-    assert m - length(w) == 1
+    assert m - w.length == 1
 
 
 def test_incomparable_pair_rejected():
@@ -136,8 +134,8 @@ def test_dimension_at_the_open_cell_is_the_length(n):
     """At v = w the variety is smooth, so the count equals l(w) exactly."""
     for w in all_perms(n):
         m = tangent_dimension(w, w)
-        assert m == length(w)
-        assert m - length(w) == 0
+        assert m == w.length
+        assert m - w.length == 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -145,7 +143,7 @@ def test_tangent_dimension_never_below_length(n):
     for w in all_perms(n):
         for v in all_perms(n):
             if bruhat_leq(v, w):
-                assert tangent_dimension(v, w) >= length(w)
+                assert tangent_dimension(v, w) >= w.length
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -245,7 +243,7 @@ def reference_component_counts(w):
     wi = group.index_of(w.values)
     interval = group.interval(wi)
     counts = dict(zip(interval, group.tangent_counts(group.lower_mask(wi), interval)))
-    lw = length(w)
+    lw = w.length
     singular = {vi for vi, count in counts.items() if count > lw}
     return [
         (group.perm(vi), counts[vi])
@@ -264,10 +262,7 @@ def test_component_counts_match_full_interval_route(n):
     assert _route_mismatches(n) == []
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHUBSING_N7"),
-    reason="the S_7 full-interval route runs only with SCHUBSING_N7=1",
-)
+@pytest.mark.n7
 def test_component_counts_match_full_interval_route_s7():
     assert _route_mismatches(7) == []
 
