@@ -26,7 +26,8 @@ X_w's binding rank conditions have one enumeration, :func:`_caps`.
 Membership has one kernel, :func:`_member`, fed int rows and conditions row
 by row; :func:`in_schubert` takes a flag as its n generator rows of ints
 or fractions, scales them to ints and feeds them in with all of w's
-conditions, and :func:`embed_point` gives a chart point's flag as such rows.  A pair's facts live on one :class:`SliceModel`
+conditions, and :func:`embed_point` gives a chart point's flag as such
+rows.  A pair's facts live on one :class:`SliceModel`
 (:func:`build_slice` for a component, :func:`pair_slice` otherwise), which
 builds its chart on first read in one pass, :func:`_chart`: a template (v's
 base rows, each cut after its last free column, and their free slots) and

@@ -1,4 +1,4 @@
-"""The pinned-call digest tool in tools/: one ``md5(stdout) md5(stderr) exit argv`` line per call."""
+"""The pinned-call tool in tools/: one `md5(stdout) md5(stderr) exit argv` line per call."""
 
 import hashlib
 import importlib.util

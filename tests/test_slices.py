@@ -570,13 +570,8 @@ def test_containment_monotone_in_w():
 def test_verify_slice_all_pairs(n):
     for w, c in component_pairs(n):
         verdict = verify_slice(build_slice(c, w), trials=25, seed=101)
-        assert verdict.ok, (w.values, c.v.values, verdict.failures)
-
-
-def test_a_verdict_is_ok_exactly_when_it_has_no_failure():
-    for w, c in component_pairs(4):
-        verdict = verify_slice(build_slice(c, w), trials=5, seed=101)
         assert verdict.ok == (not verdict.failures), (w.values, c.v.values)
+        assert verdict.ok, (w.values, c.v.values, verdict.failures)
 
 
 @pytest.mark.parametrize(
